@@ -37,6 +37,7 @@ __all__ = [
     "generate_instance",
     "run_experiment",
     "run_sweep",
+    "sweep_specs",
     "SWEEP_FIELDS",
 ]
 
@@ -73,6 +74,15 @@ class ExperimentSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.k > self.n:
             raise ValueError(f"k={self.k} exceeds n={self.n}")
+        if self.batch_size > self.m:
+            raise ValueError(
+                f"batch_size={self.batch_size} exceeds the m={self.m} components"
+            )
+        if self.algo in ("mstogradmp", "cstogradmp") and 2 * self.k > self.n:
+            raise ValueError(
+                f"{self.algo} matches 2k rows and needs 2k <= n, "
+                f"got k={self.k}, n={self.n}"
+            )
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
         if self.tol < 0:
@@ -288,6 +298,17 @@ def _format_value(value) -> str:
     return format(value, "g")
 
 
+def sweep_specs(base: ExperimentSpec, param: str, values) -> list:
+    """One validated spec per swept value, in order; raises ValueError early."""
+    if param not in SWEEP_FIELDS:
+        raise ValueError(
+            f"unknown sweep parameter {param!r}, expected one of {sorted(SWEEP_FIELDS)}"
+        )
+    field_name = SWEEP_FIELDS[param]
+    cast = float if field_name == "noise_sigma" else int
+    return [dataclasses.replace(base, **{field_name: cast(v)}) for v in values]
+
+
 def run_sweep(
     base: ExperimentSpec,
     param: str,
@@ -296,20 +317,19 @@ def run_sweep(
     timing: str = "off",
     workers: int = 1,
 ) -> list:
-    """Run one experiment per swept value and write one CSV per value."""
-    if param not in SWEEP_FIELDS:
-        raise ValueError(
-            f"unknown sweep parameter {param!r}, expected one of {sorted(SWEEP_FIELDS)}"
-        )
+    """Run one experiment per swept value and write one CSV per value.
+
+    Every swept spec is built and validated before the first run.
+    """
+    specs = sweep_specs(base, param, values)
     field_name = SWEEP_FIELDS[param]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for value in values:
-        cast = float(value) if field_name == "noise_sigma" else int(value)
-        spec = dataclasses.replace(base, **{field_name: cast})
+    for spec in specs:
         table = run_experiment(spec, workers=workers)
-        path = out_dir / f"{param}_{_format_value(cast)}.csv"
+        value = getattr(spec, field_name)
+        path = out_dir / f"{param}_{_format_value(value)}.csv"
         table.write_csv(path, timing=timing)
         written.append(path)
     return written

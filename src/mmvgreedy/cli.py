@@ -172,14 +172,11 @@ def _cmd_sweep(args) -> int:
     if not values:
         raise UsageError("--values must list at least one value")
     try:
-        parsed = [
-            float(v) if bench.SWEEP_FIELDS[args.param] == "noise_sigma" else int(v)
-            for v in values
-        ]
+        bench.sweep_specs(base, args.param, values)
     except ValueError as exc:
         raise UsageError(f"bad sweep value: {exc}") from exc
     written = bench.run_sweep(
-        base, args.param, parsed, args.out_dir,
+        base, args.param, values, args.out_dir,
         timing=args.timing, workers=args.workers,
     )
     for path in written:

@@ -325,9 +325,8 @@ def cstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
             b = col - scale * obj.column_grad(plan.batches[i], j, col)
             keep = top_k_indices(b, cfg.k)
             new_col = np.zeros(obj.n)
-            if len(keep):
-                idx = keep.as_array()
-                new_col[idx] = b[idx]
+            idx = keep.as_array()
+            new_col[idx] = b[idx]
             col_change = _rel_change(
                 float(np.linalg.norm(col)), float(np.linalg.norm(new_col - col))
             )

@@ -8,7 +8,7 @@ throughout, which makes these projections exact best approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -26,18 +26,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RowSupport:
-    """A sorted, duplicate-free set of row indices inside [0, ambient)."""
+    """A sorted, duplicate-free set of row indices inside [0, ambient).
+
+    indices may be any integer sequence or array; it is stored as a tuple
+    of Python ints, and as_array() returns a cached read-only intp copy.
+    """
 
     indices: tuple
     ambient: int
+    _array: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
+        arr = np.array(self.indices, dtype=np.intp)
+        arr.setflags(write=False)
+        idx = tuple(arr.tolist())
+        object.__setattr__(self, "_array", arr)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "ambient", int(self.ambient))
         if self.ambient < 0:
             raise ValueError("ambient must be nonnegative")
-        if any(b <= a for a, b in zip(idx, idx[1:])):
+        if np.count_nonzero(arr[1:] <= arr[:-1]):
             raise ValueError("indices must be strictly increasing")
         if idx and (idx[0] < 0 or idx[-1] >= self.ambient):
             raise ValueError(
@@ -52,18 +60,11 @@ class RowSupport:
     def empty(cls, ambient: int) -> "RowSupport":
         return cls((), ambient)
 
-    @classmethod
-    def full(cls, ambient: int) -> "RowSupport":
-        return cls(tuple(range(ambient)), ambient)
-
     def __len__(self):
         return len(self.indices)
 
-    def __contains__(self, i):
-        return int(i) in set(self.indices)
-
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=np.intp)
+        return self._array
 
 
 def _top_k(scores: np.ndarray, k: int, ambient: int) -> RowSupport:
@@ -73,7 +74,7 @@ def _top_k(scores: np.ndarray, k: int, ambient: int) -> RowSupport:
         return RowSupport.empty(ambient)
     # stable sort on the negated scores keeps the smaller index on ties
     order = np.argsort(-scores, kind="stable")
-    return RowSupport(tuple(sorted(order[:k].tolist())), ambient)
+    return RowSupport(np.sort(order[:k]), ambient)
 
 
 def top_k_indices(w, k: int) -> RowSupport:
@@ -107,7 +108,7 @@ def project_rows(X, support: RowSupport) -> np.ndarray:
 def support_union(a: RowSupport, b: RowSupport) -> RowSupport:
     if a.ambient != b.ambient:
         raise ValueError(f"ambient mismatch: {a.ambient} != {b.ambient}")
-    return RowSupport.from_iterable(a.indices + b.indices, a.ambient)
+    return RowSupport(np.union1d(a.as_array(), b.as_array()), a.ambient)
 
 
 def row_support(X, tol: float = 0.0) -> RowSupport:
@@ -119,4 +120,4 @@ def row_support(X, tol: float = 0.0) -> RowSupport:
         raise ValueError("tol must be nonnegative")
     X = as_matrix(X)
     keep = np.flatnonzero(row_norms(X) > tol)
-    return RowSupport(tuple(keep.tolist()), X.shape[0])
+    return RowSupport(keep, X.shape[0])

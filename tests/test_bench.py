@@ -212,3 +212,20 @@ def test_spec_validation():
         small_spec(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         small_spec(algo="gradient_descent")
+
+
+def test_spec_rejects_batches_larger_than_m_and_matching_past_half_n():
+    small_spec(batch_size=20)  # m = 20 components
+    with pytest.raises(ValueError, match="batch_size"):
+        small_spec(batch_size=21)
+    small_spec(algo="mstoiht", k=16)  # IHT needs no 2k <= n
+    for algo in ("mstogradmp", "cstogradmp"):
+        small_spec(algo=algo, k=15)  # 2k = n = 30
+        with pytest.raises(ValueError, match="2k <= n"):
+            small_spec(algo=algo, k=16)
+
+
+def test_sweep_validates_every_value_before_the_first_run(tmp_path):
+    with pytest.raises(ValueError, match="batch_size"):
+        run_sweep(small_spec(), "batch", [1, 21], tmp_path)
+    assert not list(tmp_path.iterdir())

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from mmvgreedy import bench, cli
 from mmvgreedy.matio import load_jsm, save_jsm
 
 
@@ -96,6 +97,53 @@ def test_run_usage_errors_exit_1(tmp_path):
     assert res.returncode == 1
     res = run_cli("frobnicate")
     assert res.returncode == 1
+
+
+BAD_CONFIGS = {
+    "batch larger than m": dict(algo="mstoiht", m=20, batch_size=21),
+    "mstogradmp 2k > n": dict(algo="mstogradmp", n=30, k=16),
+    "cstogradmp 2k > n": dict(algo="cstogradmp", n=30, k=16),
+}
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if any instance is generated or any experiment runs."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for a bad configuration")
+
+    monkeypatch.setattr(bench, "generate_instance", forbidden)
+    monkeypatch.setattr(bench, "run_experiment", forbidden)
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_CONFIGS))
+def test_run_rejects_bad_config_before_any_work(tmp_path, capsys, no_work, bad):
+    flags = []
+    for key, value in BAD_CONFIGS[bad].items():
+        flags += [f"--{key.replace('_', '-')}", str(value)]
+    out = tmp_path / "x.csv"
+    assert cli.main(["run", *flags, "--out", str(out)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "algo, param, values",
+    [("mstoiht", "batch", "1,21"), ("mstogradmp", "sparsity", "3,16"),
+     ("cstogradmp", "sparsity", "3,16")],
+)
+def test_sweep_rejects_bad_value_before_any_work(
+    tmp_path, capsys, no_work, algo, param, values
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(dict(n=30, m=20, L=3, k=3, algo=algo)))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--param", param, "--values", values,
+                     "--base-config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    assert "bad sweep value" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_from_config(tmp_path):

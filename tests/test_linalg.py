@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mmvgreedy.linalg as linalg
 from mmvgreedy.linalg import (
     RngStream,
     draw_index,
@@ -82,6 +86,70 @@ def test_lstsq_wide_min_norm_matches_pinv():
     np.testing.assert_allclose(
         least_squares_solve(A, Y), np.linalg.pinv(A) @ Y, atol=1e-10
     )
+
+
+def _pinv_gap(A, Y, B):
+    """Largest entry of B - pinv(A) @ Y, relative to ||pinv(A)|| ||Y||."""
+    # an explicit cutoff, so rounding noise of an exactly rank-deficient A
+    # is not inverted by the reference either
+    P = np.linalg.pinv(A, 1e-10)
+    return np.abs(B - P @ Y).max() / (np.linalg.norm(P, 2) * np.linalg.norm(Y))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    shape=st.sampled_from(["wide", "tall", "square"]),
+    small=st.integers(1, 40),
+    large=st.integers(1, 40),
+    rhs=st.integers(1, 5),
+    defect=st.sampled_from([None, "repeated column", "zero row"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_lstsq_matches_pinv_on_random_blocks(shape, small, large, rhs, defect, seed):
+    small, large = sorted((small, large))
+    m, s = {"wide": (small, large), "tall": (large, small), "square": (small, small)}[shape]
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((m, s))
+    if defect == "repeated column" and s > 1:
+        A[:, -1] = A[:, 0]
+    if defect == "zero row" and m > 1:
+        A[-1] = 0.0
+    Y = rng.standard_normal((m, rhs))
+    assert _pinv_gap(A, Y, least_squares_solve(A, Y)) <= 1e-10
+
+
+def test_lstsq_repeated_column_takes_svd_fallback(monkeypatch):
+    # a tall block with a repeated column has a singular A^T A, so the
+    # Cholesky path must hand the solve to gelsd
+    drivers = []
+    real_lstsq = scipy.linalg.lstsq
+
+    def spy(*args, **kwargs):
+        drivers.append(kwargs.get("lapack_driver"))
+        return real_lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(linalg.scipy.linalg, "lstsq", spy)
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((30, 8))
+    A[:, 5] = A[:, 2]
+    Y = rng.standard_normal((30, 3))
+    B = least_squares_solve(A, Y)
+    assert drivers == ["gelsd"]
+    assert _pinv_gap(A, Y, B) <= 1e-10
+    # the two copies of the column share the weight evenly (min norm)
+    np.testing.assert_allclose(B[5], B[2], rtol=1e-10)
+
+
+def test_lstsq_well_conditioned_blocks_skip_fallback(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("well-conditioned solve fell back to gelsd")
+
+    monkeypatch.setattr(linalg.scipy.linalg, "lstsq", forbidden)
+    rng = np.random.default_rng(4)
+    for m, s in [(100, 180), (100, 60)]:
+        A = rng.standard_normal((m, s))
+        Y = rng.standard_normal((m, 2))
+        assert _pinv_gap(A, Y, least_squares_solve(A, Y)) <= 1e-10
 
 
 def test_lstsq_dimension_mismatch():
