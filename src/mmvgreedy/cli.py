@@ -40,6 +40,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mmvgreedy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -66,7 +73,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--tol", type=float, default=1e-6)
     run.add_argument("--trials", type=int, default=50)
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--workers", type=int, default=1)
+    run.add_argument("--workers", type=positive_int, default=1)
     run.add_argument(
         "--timing",
         choices=("off", "wall"),
@@ -80,7 +87,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--values", required=True, help="comma-separated values")
     sweep.add_argument("--base-config", required=True, help="flat JSON config file")
     sweep.add_argument("--out-dir", required=True)
-    sweep.add_argument("--workers", type=int, default=1)
+    sweep.add_argument("--workers", type=positive_int, default=1)
     sweep.add_argument("--timing", choices=("off", "wall"), default="off")
 
     analyze = sub.add_parser("analyze", help="theory and matrix diagnostics")
@@ -111,8 +118,6 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         spec = bench.ExperimentSpec(
             n=args.n, m=args.m, L=args.L, k=args.k,
@@ -120,6 +125,8 @@ def _cmd_gen(args) -> int:
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     A, X_star, Y = bench.generate_instance(spec, trial=0)
     matio.save_jsm(out_dir / "A.jsm", A)
     matio.save_jsm(out_dir / "X.jsm", X_star)

@@ -57,7 +57,11 @@ def frobenius_norm(X) -> float:
 
 def row_norms(X) -> np.ndarray:
     """Euclidean norm of each row, as a 1-D array of length rows."""
-    return np.linalg.norm(as_matrix(X), axis=1)
+    X = as_matrix(X)
+    if X.shape[1] == 1:  # the norm of a one-entry row is its absolute value
+        return np.abs(X[:, 0])
+    # the operations np.linalg.norm(X, axis=1) runs, without its overhead
+    return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
 # Smallest reciprocal condition number (LAPACK dpocon, 1-norm) of the Gram
@@ -153,9 +157,6 @@ class RngStream:
 
     def choice_without_replacement(self, n: int, size: int) -> np.ndarray:
         return self._gen.choice(n, size=size, replace=False)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
 
 
 def derive_seed(master_seed: int, *ids: int) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, least_squares_solve
+from .linalg import as_matrix, least_squares_solve
 from .sparsity import RowSupport
 
 __all__ = ["MmvObjective", "BatchPlan", "batch_partition"]
@@ -41,20 +41,11 @@ class BatchPlan:
         return len(self.batches)
 
 
-def batch_partition(M: int, b: int, rng: RngStream | None = None) -> BatchPlan:
-    """Split {0..M-1} into ceil(M/b) batches of size b (last may be ragged).
-
-    The partition is contiguous and deterministic; pass an rng to shuffle
-    the indices before slicing.
-    """
+def batch_partition(M: int, b: int) -> BatchPlan:
+    """Split {0..M-1} into ceil(M/b) contiguous batches (the last may be short)."""
     if not 1 <= b <= M:
         raise ValueError(f"batch size {b} out of range [1, {M}]")
-    idx = np.arange(M)
-    if rng is not None:
-        idx = rng.permutation(M)
-    batches = tuple(
-        tuple(int(i) for i in idx[start : start + b]) for start in range(0, M, b)
-    )
+    batches = tuple(tuple(range(i, min(i + b, M))) for i in range(0, M, b))
     return BatchPlan(batch_size=b, batches=batches)
 
 

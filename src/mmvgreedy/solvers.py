@@ -1,24 +1,28 @@
 """Stochastic greedy solvers for jointly row-sparse recovery.
 
-Two families are implemented, each in a matrix (joint) and a concatenated
-(per-column) variant:
+One engine runs all four solvers.  Each iteration draws a batch of
+objective components per problem and applies one step to its iterate:
 
-* ``mstoiht`` / ``cstoiht``: stochastic iterative hard thresholding.  Each
-  iteration draws a batch of objective components, takes an unbiased
-  gradient step scaled by gamma / (d * p(batch)), and hard-thresholds the
-  result to the k best rows (or entries, per column).
-* ``mstogradmp`` / ``cstogradmp``: stochastic gradient matching pursuit.
-  Each iteration matches the 2k largest gradient rows, unions them with
-  the previously kept support, solves the objective restricted to that
-  candidate set, then re-thresholds to k rows.
+* IHT (``mstoiht``, ``cstoiht``), stochastic iterative hard thresholding:
+  take the stochastic gradient step scaled by gamma / (d * p(batch)) and
+  keep the k rows of largest norm.
+* GradMP (``mstogradmp``, ``cstogradmp``), stochastic gradient matching
+  pursuit: match the 2k rows of largest gradient norm, unite them with the
+  kept support, minimize the objective restricted to that candidate set
+  (at most 3k rows), then keep the k best rows of the minimizer.
+
+The joint solvers run the step on one problem, the whole n x L matrix.
+The concatenated solvers run it on the L single-column problems
+(A, Y[:, j]), each with its own substream j, kept support and tolerance
+stop, advanced in lockstep: the trace at iteration t is the matrix of
+every column's t-th iterate, and at L = 1 both are the same computation.
 
 All solvers start from the zero matrix, stop when the relative iterate
-change drops below the tolerance or after max_iter iterations, and record
-a per-iteration trace (elapsed compute time, objective, iterate change,
-and error against an optional ground truth).  Identical inputs including
-the seed give bit-identical traces.  The concatenated variants advance all
-columns in lockstep with independent per-column substreams, so the trace
-at iteration t is the matrix of every column's t-th inner iterate.
+change drops below the tolerance (every column's change, for the
+concatenated solvers) or after max_iter iterations, and record a
+per-iteration trace (elapsed compute time, objective, iterate change, and
+error against an optional ground truth).  Identical inputs including the
+seed give bit-identical traces.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .sparsity import (
     project_rows,
     row_support,
     support_union,
-    top_k_indices,
+    top_k_indices,  # noqa: F401  the benchmark's layer spans look it up here
     top_k_rows,
 )
 
@@ -137,9 +141,11 @@ def _batch_probabilities(cfg: SolverConfig, d: int) -> np.ndarray:
     return p
 
 
-def _rel_change(prev_norm: float, diff_norm: float) -> float:
+def _rel_change(X_old: np.ndarray, X_new: np.ndarray) -> float:
     # change relative to the previous iterate; from the zero matrix the
     # change is infinite unless the new iterate is zero too
+    prev_norm = float(np.linalg.norm(X_old))
+    diff_norm = float(np.linalg.norm(X_new - X_old))
     if prev_norm == 0.0:
         return 0.0 if diff_norm == 0.0 else math.inf
     return diff_norm / prev_norm
@@ -164,7 +170,6 @@ class _TraceBuilder:
 
     def __init__(self, obj: MmvObjective, cfg: SolverConfig):
         self.obj = obj
-        self.cfg = cfg
         self.f0 = obj.value(np.zeros((obj.n, obj.L)))
         self.gt = None
         self.gt_norm = 0.0
@@ -178,10 +183,9 @@ class _TraceBuilder:
         self.records = []
         self.elapsed = 0.0
 
-    def add(self, t, X_new, support, prev_norm, diff_norm, candidate_size=None):
+    def add(self, t, X_new, support, change, candidate_size):
         fval = self.obj.restricted_value(X_new, support)
         _check_objective(fval, self.f0, self.records)
-        change = _rel_change(prev_norm, diff_norm)
         rel = None
         if self.gt is not None:
             rel = float(np.linalg.norm(X_new - self.gt)) / self.gt_norm
@@ -196,16 +200,13 @@ class _TraceBuilder:
                 candidate_size=candidate_size,
             )
         )
-        return change
 
 
 def _common_checks(obj: MmvObjective, cfg: SolverConfig, need_half_n: bool) -> None:
     if cfg.k > obj.n:
         raise ValueError(f"sparsity k={cfg.k} exceeds signal length n={obj.n}")
     if need_half_n and 2 * cfg.k > obj.n:
-        raise ValueError(
-            f"matching pursuit needs 2k <= n, got k={cfg.k}, n={obj.n}"
-        )
+        raise ValueError(f"matching pursuit needs 2k <= n, got k={cfg.k}, n={obj.n}")
     if cfg.batch_size > obj.component_count:
         raise ValueError(
             f"batch_size={cfg.batch_size} exceeds component count "
@@ -213,200 +214,111 @@ def _common_checks(obj: MmvObjective, cfg: SolverConfig, need_half_n: bool) -> N
         )
 
 
+def _iht_step(obj, X, kept, batch, scale, k):
+    """Scaled stochastic gradient step, then keep the k rows of largest norm."""
+    B = X - scale * obj.batch_grad(batch, X)
+    support = top_k_rows(B, k)
+    return project_rows(B, support), support, None
+
+
+def _gradmp_step(obj, X, kept, batch, scale, k):
+    """Match 2k gradient rows, minimize on them and the kept rows, keep k.
+
+    Rank-deficient restricted solves fall back to the minimum-norm
+    solution and are not an error.
+    """
+    matched = top_k_rows(obj.batch_grad(batch, X), 2 * k)
+    candidate = support_union(matched, kept)
+    B = obj.restricted_argmin(candidate)
+    support = top_k_rows(B, k)
+    return project_rows(B, support), support, candidate
+
+
+@dataclass
+class _Problem:
+    """An objective the engine advances, with its stream and state."""
+
+    obj: MmvObjective
+    rng: RngStream
+    X: np.ndarray
+    kept: RowSupport
+    change: float = math.inf
+    active: bool = True
+
+
+def _solve(obj: MmvObjective, cfg: SolverConfig, step, per_column: bool) -> SolveTrace:
+    """Run step on obj, or on each of its single-column problems, to a stop.
+
+    Only the draws and the steps are timed.  A joint record carries the
+    step's support; a concatenated one the row support of the combined
+    iterate, which may exceed k while the columns disagree.
+    """
+    _common_checks(obj, cfg, need_half_n=step is _gradmp_step)
+    plan = batch_partition(obj.component_count, cfg.batch_size)
+    p = _batch_probabilities(cfg, plan.count)
+    tracer = _TraceBuilder(obj, cfg)
+    parts = [obj]
+    if per_column:
+        parts = [MmvObjective(obj.A, obj.Y[:, j : j + 1]) for j in range(obj.L)]
+    problems = [
+        _Problem(part, RngStream(cfg.seed, (j,)), np.zeros((obj.n, part.L)),
+                 RowSupport.empty(obj.n))
+        for j, part in enumerate(parts)
+    ]
+    X = np.zeros((obj.n, obj.L))
+    trace = SolveTrace()
+    for t in range(1, cfg.max_iter + 1):
+        candidate_sizes = []
+        for prob in problems:
+            if not prob.active:
+                continue
+            tic = time.perf_counter()
+            i = draw_index(p, prob.rng)
+            scale = cfg.gamma / (plan.count * p[i])
+            X_new, prob.kept, candidate = step(
+                prob.obj, prob.X, prob.kept, plan.batches[i], scale, cfg.k
+            )
+            tracer.elapsed += time.perf_counter() - tic
+
+            prob.change = _rel_change(prob.X, X_new)
+            prob.X = X_new
+            prob.active = not prob.change < cfg.tol
+            if candidate is not None:
+                candidate_sizes.append(len(candidate))
+
+        if per_column:
+            X_new = np.hstack([prob.X for prob in problems])
+            support, change = row_support(X_new), _rel_change(X, X_new)
+        else:
+            X_new, support, change = problems[0].X, problems[0].kept, problems[0].change
+        tracer.add(t, X_new, support, change, max(candidate_sizes, default=None))
+        X = X_new
+        if not any(prob.active for prob in problems):
+            trace.stop_reason = "tolerance"
+            break
+    trace.records = tracer.records
+    trace.estimate = X
+    return trace
+
+
 def mstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
-    """Joint stochastic iterative hard thresholding over all signal columns.
-
-    Per iteration: draw a batch, take the scaled stochastic gradient step,
-    keep the k rows of largest norm.  With batch_size equal to the number
-    of components this reduces to projected full-gradient descent.
-    """
-    _common_checks(obj, cfg, need_half_n=False)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
-    p = _batch_probabilities(cfg, plan.count)
-    rng = RngStream(cfg.seed, (0,))
-    tracer = _TraceBuilder(obj, cfg)
-
-    X = np.zeros((obj.n, obj.L))
-    prev_norm = 0.0
-    trace = SolveTrace()
-    for t in range(1, cfg.max_iter + 1):
-        tic = time.perf_counter()
-        i = draw_index(p, rng)
-        scale = cfg.gamma / (plan.count * p[i])
-        B = X - scale * obj.batch_grad(plan.batches[i], X)
-        support = top_k_rows(B, cfg.k)
-        X_new = project_rows(B, support)
-        tracer.elapsed += time.perf_counter() - tic
-
-        diff_norm = float(np.linalg.norm(X_new - X))
-        change = tracer.add(t, X_new, support, prev_norm, diff_norm)
-        X = X_new
-        prev_norm = float(np.linalg.norm(X))
-        if change < cfg.tol:
-            trace.stop_reason = "tolerance"
-            break
-    trace.records = tracer.records
-    trace.estimate = X
-    return trace
-
-
-def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
-    """Joint stochastic gradient matching pursuit.
-
-    Per iteration: draw a batch and form its gradient, match the 2k rows
-    of largest gradient norm, union with the previously kept support
-    (candidate set of at most 3k rows), minimize the full objective
-    restricted to the candidate rows, then keep the k best rows of that
-    minimizer.  Rank-deficient restricted solves fall back to the
-    minimum-norm solution and are not an error.
-    """
-    _common_checks(obj, cfg, need_half_n=True)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
-    p = _batch_probabilities(cfg, plan.count)
-    rng = RngStream(cfg.seed, (0,))
-    tracer = _TraceBuilder(obj, cfg)
-
-    X = np.zeros((obj.n, obj.L))
-    kept = RowSupport.empty(obj.n)
-    prev_norm = 0.0
-    trace = SolveTrace()
-    for t in range(1, cfg.max_iter + 1):
-        tic = time.perf_counter()
-        i = draw_index(p, rng)
-        R = obj.batch_grad(plan.batches[i], X)
-        matched = top_k_rows(R, 2 * cfg.k)
-        candidate = support_union(matched, kept)
-        B = obj.restricted_argmin(candidate)
-        kept = top_k_rows(B, cfg.k)
-        X_new = project_rows(B, kept)
-        tracer.elapsed += time.perf_counter() - tic
-
-        diff_norm = float(np.linalg.norm(X_new - X))
-        change = tracer.add(
-            t, X_new, kept, prev_norm, diff_norm, candidate_size=len(candidate)
-        )
-        X = X_new
-        prev_norm = float(np.linalg.norm(X))
-        if change < cfg.tol:
-            trace.stop_reason = "tolerance"
-            break
-    trace.records = tracer.records
-    trace.estimate = X
-    return trace
+    """Joint stochastic IHT; with one batch of all components, projected GD."""
+    return _solve(obj, cfg, _iht_step, per_column=False)
 
 
 def cstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
-    """Concatenated stochastic iterative hard thresholding.
+    """Concatenated stochastic IHT: the IHT step run on each column alone."""
+    return _solve(obj, cfg, _iht_step, per_column=True)
 
-    Runs one scalar-signal solver per column with its own random
-    substream, advancing all columns in lockstep.  Column j at trace
-    iteration t therefore matches the t-th iterate of the standalone
-    single-vector solver seeded with substream j, and columns that meet
-    the tolerance stop early while the rest continue.
-    """
-    _common_checks(obj, cfg, need_half_n=False)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
-    p = _batch_probabilities(cfg, plan.count)
-    rngs = [RngStream(cfg.seed, (j,)) for j in range(obj.L)]
-    tracer = _TraceBuilder(obj, cfg)
 
-    X = np.zeros((obj.n, obj.L))
-    active = [True] * obj.L
-    X_prev = X.copy()
-    trace = SolveTrace()
-    for t in range(1, cfg.max_iter + 1):
-        tic = time.perf_counter()
-        for j in range(obj.L):
-            if not active[j]:
-                continue
-            col = X[:, j]
-            i = draw_index(p, rngs[j])
-            scale = cfg.gamma / (plan.count * p[i])
-            b = col - scale * obj.column_grad(plan.batches[i], j, col)
-            keep = top_k_indices(b, cfg.k)
-            new_col = np.zeros(obj.n)
-            idx = keep.as_array()
-            new_col[idx] = b[idx]
-            col_change = _rel_change(
-                float(np.linalg.norm(col)), float(np.linalg.norm(new_col - col))
-            )
-            X[:, j] = new_col
-            if col_change < cfg.tol:
-                active[j] = False
-        tracer.elapsed += time.perf_counter() - tic
-
-        support = row_support(X)
-        diff_norm = float(np.linalg.norm(X - X_prev))
-        tracer.add(t, X, support, float(np.linalg.norm(X_prev)), diff_norm)
-        X_prev = X.copy()
-        if not any(active):
-            trace.stop_reason = "tolerance"
-            break
-    trace.records = tracer.records
-    trace.estimate = X
-    return trace
+def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
+    """Joint stochastic gradient matching pursuit over all signal columns."""
+    return _solve(obj, cfg, _gradmp_step, per_column=False)
 
 
 def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
-    """Concatenated stochastic gradient matching pursuit.
-
-    Per-column matching pursuit with independent substreams, advanced in
-    lockstep like cstoiht.  Each column keeps its own retained support and
-    solves its own restricted least-squares problem every iteration.
-    """
-    _common_checks(obj, cfg, need_half_n=True)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
-    p = _batch_probabilities(cfg, plan.count)
-    rngs = [RngStream(cfg.seed, (j,)) for j in range(obj.L)]
-    tracer = _TraceBuilder(obj, cfg)
-
-    X = np.zeros((obj.n, obj.L))
-    kept = [RowSupport.empty(obj.n) for _ in range(obj.L)]
-    active = [True] * obj.L
-    X_prev = X.copy()
-    trace = SolveTrace()
-    for t in range(1, cfg.max_iter + 1):
-        max_candidate = 0
-        tic = time.perf_counter()
-        for j in range(obj.L):
-            if not active[j]:
-                continue
-            col = X[:, j]
-            i = draw_index(p, rngs[j])
-            r = obj.column_grad(plan.batches[i], j, col)
-            matched = top_k_indices(r, 2 * cfg.k)
-            candidate = support_union(matched, kept[j])
-            max_candidate = max(max_candidate, len(candidate))
-            b = obj.restricted_column_argmin(candidate, j)
-            kept[j] = top_k_indices(b, cfg.k)
-            new_col = np.zeros(obj.n)
-            idx = kept[j].as_array()
-            new_col[idx] = b[idx]
-            col_change = _rel_change(
-                float(np.linalg.norm(col)), float(np.linalg.norm(new_col - col))
-            )
-            X[:, j] = new_col
-            if col_change < cfg.tol:
-                active[j] = False
-        tracer.elapsed += time.perf_counter() - tic
-
-        support = row_support(X)
-        diff_norm = float(np.linalg.norm(X - X_prev))
-        tracer.add(
-            t,
-            X,
-            support,
-            float(np.linalg.norm(X_prev)),
-            diff_norm,
-            candidate_size=max_candidate if max_candidate else None,
-        )
-        X_prev = X.copy()
-        if not any(active):
-            trace.stop_reason = "tolerance"
-            break
-    trace.records = tracer.records
-    trace.estimate = X
-    return trace
+    """Concatenated stochastic GradMP: the GradMP step run on each column alone."""
+    return _solve(obj, cfg, _gradmp_step, per_column=True)
 
 
 SOLVERS = {

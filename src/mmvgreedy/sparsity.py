@@ -53,10 +53,6 @@ class RowSupport:
             )
 
     @classmethod
-    def from_iterable(cls, indices, ambient: int) -> "RowSupport":
-        return cls(tuple(sorted({int(i) for i in indices})), ambient)
-
-    @classmethod
     def empty(cls, ambient: int) -> "RowSupport":
         return cls((), ambient)
 
@@ -87,8 +83,8 @@ def top_k_indices(w, k: int) -> RowSupport:
 
 def top_k_rows(X, k: int) -> RowSupport:
     """Indices of the k rows of X with largest Euclidean norm."""
-    X = as_matrix(X)
-    return _top_k(row_norms(X), k, X.shape[0])
+    norms = row_norms(X)
+    return _top_k(norms, k, norms.size)
 
 
 def project_rows(X, support: RowSupport) -> np.ndarray:
@@ -98,7 +94,7 @@ def project_rows(X, support: RowSupport) -> np.ndarray:
         raise ValueError(
             f"support ambient {support.ambient} != matrix rows {X.shape[0]}"
         )
-    out = np.zeros_like(X)
+    out = np.zeros(X.shape)
     if len(support):
         idx = support.as_array()
         out[idx] = X[idx]

@@ -146,6 +146,30 @@ def test_sweep_rejects_bad_value_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_zero_workers_is_a_usage_error_before_any_output(
+    tmp_path, capsys, no_work, command
+):
+    out = tmp_path / "out"
+    if command == "run":
+        argv = ["run", "--algo", "mstoiht", "--out", str(out)]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(n=30, m=20, L=3, k=3)))
+        argv = ["sweep", "--param", "noise", "--values", "0.01",
+                "--base-config", str(cfg_path), "--out-dir", str(out)]
+    assert cli.main([*argv, "--workers", "0"]) == 1
+    assert "--workers: must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gen_rejects_bad_spec_before_creating_out_dir(tmp_path, capsys, no_work):
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--n", "3", "--k", "5", "--out-dir", str(out)]) == 1
+    assert "exceeds" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_from_config(tmp_path):
     cfg = dict(n=30, m=20, L=3, k=3, algo="mstoiht", batch_size=1,
                gamma=1.0, max_iter=5, tol=0.0, trials=2, seed=1)

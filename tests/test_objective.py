@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmvgreedy.linalg import RngStream
-from mmvgreedy.objective import BatchPlan, MmvObjective, batch_partition
+from mmvgreedy.objective import MmvObjective, batch_partition
 from mmvgreedy.sparsity import RowSupport, project_rows, row_support, top_k_rows
 
 
@@ -242,13 +242,6 @@ def test_batch_partition_covers_disjointly():
         assert len(flat) == len(set(flat))
         assert all(len(batch) == b for batch in plan.batches[:-1])
         assert plan.count == -(-M // b)
-
-
-def test_batch_partition_shuffled_is_a_permutation():
-    plan = batch_partition(9, 4, rng=RngStream(5, (0,)))
-    flat = [i for batch in plan.batches for i in batch]
-    assert sorted(flat) == list(range(9))
-    assert isinstance(plan, BatchPlan)
 
 
 def test_objective_shape_validation():

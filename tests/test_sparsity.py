@@ -147,5 +147,3 @@ def test_row_support_validation():
         RowSupport((2, 1), 3)
     with pytest.raises(ValueError):
         RowSupport((3,), 3)
-    # from_iterable sorts and dedups instead
-    assert RowSupport.from_iterable([2, 0, 2], 3).indices == (0, 2)
