@@ -28,6 +28,7 @@ __all__ = [
     "frobenius_norm",
     "row_norms",
     "least_squares_solve",
+    "IndexSampler",
     "draw_index",
     "derive_seed",
 ]
@@ -51,8 +52,9 @@ def require_finite(X: np.ndarray, name: str = "matrix") -> np.ndarray:
 
 
 def frobenius_norm(X) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(as_matrix(X)))
+    """Square root of the sum of squared entries, as np.linalg.norm(X) sums them."""
+    x = as_matrix(X).ravel()
+    return float(np.sqrt(x.dot(x)))
 
 
 def row_norms(X) -> np.ndarray:
@@ -167,23 +169,30 @@ def derive_seed(master_seed: int, *ids: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def draw_index(p, rng: RngStream) -> int:
-    """Sample an index with the given probabilities (inverse-CDF walk).
+class IndexSampler:
+    """Inverse-CDF draws from probabilities p, checked and summed once.
 
     p must be nonnegative and sum to 1 within 1e-12.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("p must be a nonempty 1-D probability vector")
-    if (p < 0).any():
-        raise ValueError("p has negative entries")
-    total = float(p.sum())
-    if abs(total - 1.0) > 1e-12:
-        raise ValueError(f"p sums to {total!r}, expected 1 within 1e-12")
-    cum = np.cumsum(p)
-    u = rng.uniform()
-    idx = int(np.searchsorted(cum, u, side="right"))
-    if idx >= p.size:
-        # u beyond the last cumulative value (rounding); take last nonzero bin
-        idx = int(np.flatnonzero(p > 0)[-1])
-    return idx
+
+    def __init__(self, p):
+        p = np.asarray(p, dtype=np.float64)
+        if p.ndim != 1 or p.size == 0:
+            raise ValueError("p must be a nonempty 1-D probability vector")
+        if (p < 0).any():
+            raise ValueError("p has negative entries")
+        total = float(p.sum())
+        if abs(total - 1.0) > 1e-12:
+            raise ValueError(f"p sums to {total!r}, expected 1 within 1e-12")
+        self.p, self._cum = p, np.cumsum(p)
+        # u beyond the last cumulative value (rounding) takes the last nonzero bin
+        self._last = int(np.flatnonzero(p > 0)[-1])
+
+    def draw(self, rng: RngStream) -> int:
+        idx = int(self._cum.searchsorted(rng.uniform(), side="right"))
+        return idx if idx < self._cum.size else self._last
+
+
+def draw_index(p, rng: RngStream) -> int:
+    """Sample one index with the given probabilities; see IndexSampler."""
+    return IndexSampler(p).draw(rng)

@@ -8,7 +8,7 @@ throughout, which makes these projections exact best approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import functools
 
 import numpy as np
 
@@ -24,40 +24,46 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class RowSupport:
     """A sorted, duplicate-free set of row indices inside [0, ambient).
 
-    indices may be any integer sequence or array; it is stored as a tuple
-    of Python ints, and as_array() returns a cached read-only intp copy.
+    indices may be any integer sequence or array.  It is stored as a
+    read-only intp array, returned by as_array(); the indices attribute
+    gives the same set as a tuple of Python ints, built on first access.
     """
 
-    indices: tuple
-    ambient: int
-    _array: np.ndarray = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        arr = np.array(self.indices, dtype=np.intp)
+    def __init__(self, indices, ambient: int):
+        arr = np.array(indices, dtype=np.intp)
         arr.setflags(write=False)
-        idx = tuple(arr.tolist())
-        object.__setattr__(self, "_array", arr)
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "ambient", int(self.ambient))
+        self._array, self.ambient = arr, int(ambient)
         if self.ambient < 0:
             raise ValueError("ambient must be nonnegative")
         if np.count_nonzero(arr[1:] <= arr[:-1]):
             raise ValueError("indices must be strictly increasing")
-        if idx and (idx[0] < 0 or idx[-1] >= self.ambient):
+        if arr.size and (arr[0] < 0 or arr[-1] >= self.ambient):
             raise ValueError(
-                f"indices must lie in [0, {self.ambient}), got {idx[0]}..{idx[-1]}"
+                f"indices must lie in [0, {self.ambient}), got {arr[0]}..{arr[-1]}"
             )
+
+    indices = functools.cached_property(lambda self: tuple(self._array.tolist()))
 
     @classmethod
     def empty(cls, ambient: int) -> "RowSupport":
         return cls((), ambient)
 
     def __len__(self):
-        return len(self.indices)
+        return self._array.size
+
+    def __eq__(self, other):
+        return isinstance(other, RowSupport) and self.ambient == other.ambient and (
+            np.array_equal(self._array, other._array)
+        )
+
+    def __hash__(self):
+        return hash((self.indices, self.ambient))
+
+    def __repr__(self):
+        return f"RowSupport(indices={self.indices}, ambient={self.ambient})"
 
     def as_array(self) -> np.ndarray:
         return self._array

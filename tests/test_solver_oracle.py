@@ -143,3 +143,28 @@ def test_single_column_concatenated_equals_joint(instance, family):
     assert [r.rel_err for r in joint[0]] == [r.rel_err for r in concatenated[0]]
     if joint[1] is not None:
         np.testing.assert_array_equal(joint[1], concatenated[1])
+
+
+@settings(max_examples=6)
+@given(
+    st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.05]), st.integers(1, 50),
+    st.sampled_from([0.0, 1e-6]),
+)
+def test_joint_iht_matches_the_reference_exactly_at_acceptance_shape(
+    seed, sigma, max_iter, tol
+):
+    # n=200, m=100, L=40, k=5, b=1 as in the IHT acceptance protocol, where
+    # the single-row step forms k-row candidate blocks instead of n x L ones
+    rng = RngStream(seed, (0,))
+    A = gaussian_sensing_matrix(100, 200, rng)
+    X_star = row_sparse_signal(200, 40, 5, rng)
+    Y = A @ X_star + sigma * rng.standard_normal((100, 40))
+    obj = MmvObjective(A, Y)
+    cfg = SolverConfig(
+        k=5, batch_size=1, max_iter=max_iter, tol=tol, seed=seed, ground_truth=X_star
+    )
+    records, estimate, stop = _run(SOLVERS["mstoiht"], obj, cfg)
+    ref_records, ref_estimate, ref_stop = _run(ORACLES["mstoiht"], obj, cfg)
+    assert _untimed(records) == _untimed(ref_records)
+    assert stop == ref_stop
+    np.testing.assert_array_equal(estimate, ref_estimate)
