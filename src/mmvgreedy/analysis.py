@@ -157,7 +157,6 @@ def contraction_mstogradmp(
     c: ConvexityConstants,
     eta1: float = 1.0,
     eta2: float = 1.0,
-    p_min: float | None = None,
     p_max: float | None = None,
     M: int = 1,
 ) -> float:
@@ -171,7 +170,7 @@ def contraction_mstogradmp(
     """
     eta1 = _require_eta(eta1, "eta1")
     eta2 = _require_eta(eta2, "eta2")
-    p_min, p_max, M = _resolve_probability_range(p_min, p_max, M)
+    _, p_max, M = _resolve_probability_range(None, p_max, M)
     inner = c.rho_plus * (2.0 * eta1**2 - 1.0) / (c.rho_minus * eta2**2) - 1.0
     return (
         (1.0 + eta2)
@@ -194,7 +193,6 @@ def contraction_cstogradmp(
     c: ConvexityConstants,
     eta1: float = 1.0,
     eta2: float = 1.0,
-    p_min: float | None = None,
     p_max: float | None = None,
     M: int = 1,
 ) -> CStoGradMpContraction:
@@ -207,7 +205,7 @@ def contraction_cstogradmp(
     """
     eta1 = _require_eta(eta1, "eta1")
     eta2 = _require_eta(eta2, "eta2")
-    p_min, p_max, M = _resolve_probability_range(p_min, p_max, M)
+    _, p_max, M = _resolve_probability_range(None, p_max, M)
     gap = 2.0 * c.rho_minus - c.alpha
     if gap <= 0:
         raise RegimeError(

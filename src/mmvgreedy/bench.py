@@ -4,8 +4,13 @@ Every trial regenerates the sensing matrix, the planted row-sparse signal,
 and the noise from a trial-indexed substream, runs the selected solver,
 and records a relative-error/objective trace.  Per-trial streams are
 derived from (seed, trial), so raising the trial count leaves earlier
-trials bit-identical, and trials may run concurrently without changing
-any output byte.
+trials bit-identical, and trials may run on threads (workers > 1) without
+changing any output byte, though not always faster (see the README).  A
+TraceTable keeps each trial's rows at its trial index.
+
+A spec checks its own fields and builds its solver settings as every
+trial does, so SolverConfig's rules, non-finite values included, raise
+ValueError before any instance is generated.
 
 Wall-clock timing covers solver compute only (never data generation or
 diagnostics).  CSV output zeroes the time column by default so repeated
@@ -16,6 +21,8 @@ the cost of that reproducibility.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -69,30 +76,27 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n", "m", "L", "k", "batch_size", "max_iter", "trials"):
+        for name in ("n", "m", "L", "trials"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.k > self.n:
-            raise ValueError(f"k={self.k} exceeds n={self.n}")
-        if self.batch_size > self.m:
+        if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(
-                f"batch_size={self.batch_size} exceeds the m={self.m} components"
+                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
             )
-        if self.algo in ("mstogradmp", "cstogradmp") and 2 * self.k > self.n:
-            raise ValueError(
-                f"{self.algo} matches 2k rows and needs 2k <= n, "
-                f"got k={self.k}, n={self.n}"
-            )
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be nonnegative")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
         if self.algo not in SOLVERS:
             raise ValueError(
                 f"unknown algo {self.algo!r}, expected one of {sorted(SOLVERS)}"
             )
+        _solver_config(self, trial=0).check_problem(self.algo, self.n, self.m)
+
+
+def _solver_config(spec: ExperimentSpec, trial: int, ground_truth=None) -> SolverConfig:
+    """The solver settings of one trial; raises ValueError on a bad setting."""
+    return SolverConfig(
+        k=spec.k, gamma=spec.gamma, batch_size=spec.batch_size,
+        max_iter=spec.max_iter, tol=spec.tol,
+        seed=derive_seed(spec.seed, trial, 1), ground_truth=ground_truth,
+    )
 
 
 def gaussian_sensing_matrix(m: int, n: int, rng: RngStream) -> np.ndarray:
@@ -152,22 +156,28 @@ class TraceRow:
 
 @dataclass
 class TraceTable:
-    """Per-trial trace rows plus cross-trial mean/median curves."""
+    """Per-trial trace rows plus cross-trial mean/median curves.
+
+    by_trial[t] holds trial t's rows, one per iteration from 0 to its last,
+    with no gaps; a diverged trial keeps the rows before the failure.
+    """
 
     spec: ExperimentSpec
-    rows: list = field(default_factory=list)
+    by_trial: list = field(default_factory=list)
     aggregates: list = field(default_factory=list)
     divergences: dict = field(default_factory=dict)
 
-    def trial_rows(self, trial: int):
-        return [r for r in self.rows if r.trial == trial]
+    @property
+    def rows(self) -> tuple:
+        """Every trial's rows, in trial order."""
+        return tuple(itertools.chain.from_iterable(self.by_trial))
+
+    def trial_rows(self, trial: int) -> tuple:
+        return self.by_trial[trial]
 
     def final_rel_errs(self) -> np.ndarray:
         """Final relative error of each trial, in trial order."""
-        out = np.empty(self.spec.trials)
-        for trial in range(self.spec.trials):
-            out[trial] = self.trial_rows(trial)[-1].rel_err
-        return out
+        return np.array([rows[-1].rel_err for rows in self.by_trial])
 
     def hit_iterations(self, threshold: float) -> np.ndarray:
         """First iteration at which each trial's error reaches threshold.
@@ -175,28 +185,22 @@ class TraceTable:
         Trials that never reach it get max_iter + 1 so medians stay
         comparable.
         """
-        out = np.empty(self.spec.trials)
-        for trial in range(self.spec.trials):
-            hit = self.spec.max_iter + 1
-            for r in self.trial_rows(trial):
-                if r.rel_err <= threshold:
-                    hit = r.iteration
-                    break
-            out[trial] = hit
-        return out
+        miss = self.spec.max_iter + 1
+        hits = [
+            next((r.iteration for r in rows if r.rel_err <= threshold), miss)
+            for rows in self.by_trial
+        ]
+        return np.array(hits, dtype=np.float64)
 
     def total_times(self) -> np.ndarray:
         """Measured solver seconds per trial."""
-        out = np.empty(self.spec.trials)
-        for trial in range(self.spec.trials):
-            out[trial] = self.trial_rows(trial)[-1].time_s
-        return out
+        return np.array([rows[-1].time_s for rows in self.by_trial])
 
     def to_csv_text(self, timing: str = "off") -> str:
         if timing not in ("off", "wall"):
             raise ValueError("timing must be 'off' or 'wall'")
         lines = [CSV_HEADER]
-        for r in self.rows + self.aggregates:
+        for r in itertools.chain(*self.by_trial, self.aggregates):
             t = r.time_s if timing == "wall" else 0.0
             lines.append(
                 f"{r.trial},{r.algo},{r.iteration},{t!r},{r.rel_err!r},{r.objective!r}"
@@ -211,19 +215,9 @@ class TraceTable:
 def _run_trial(spec: ExperimentSpec, trial: int):
     A, X_star, Y = generate_instance(spec, trial)
     obj = MmvObjective(A, Y)
-    cfg = SolverConfig(
-        k=spec.k,
-        gamma=spec.gamma,
-        batch_size=spec.batch_size,
-        max_iter=spec.max_iter,
-        tol=spec.tol,
-        seed=derive_seed(spec.seed, trial, 1),
-        ground_truth=X_star,
-    )
     failure = None
     try:
-        trace = SOLVERS[spec.algo](obj, cfg)
-        records = trace.records
+        records = SOLVERS[spec.algo](obj, _solver_config(spec, trial, X_star)).records
     except DivergenceError as exc:
         records = exc.records
         failure = str(exc)
@@ -233,31 +227,22 @@ def _run_trial(spec: ExperimentSpec, trial: int):
         TraceRow(trial, spec.algo, r.iteration, r.elapsed_s, r.rel_err, r.objective)
         for r in records
     )
-    return rows, failure
+    return tuple(rows), failure
 
 
-def _aggregate(spec: ExperimentSpec, per_trial_rows) -> list:
-    horizon = max(rows[-1].iteration for rows in per_trial_rows)
-    series = np.empty((len(per_trial_rows), horizon + 1, 3))
-    for t, rows in enumerate(per_trial_rows):
-        last = rows[0]
-        by_iter = {r.iteration: r for r in rows}
-        for it in range(horizon + 1):
-            last = by_iter.get(it, last)  # converged trials carry forward
-            series[t, it] = (last.time_s, last.rel_err, last.objective)
+def _aggregate(spec: ExperimentSpec, by_trial) -> list:
+    # a trial that stopped early carries its last row forward
+    horizon = max(map(len, by_trial))
+    padded = [rows + rows[-1:] * (horizon - len(rows)) for rows in by_trial]
+    series = np.array(
+        [[(r.time_s, r.rel_err, r.objective) for r in rows] for rows in padded]
+    )
     out = []
     for label, reducer in (("mean", np.mean), ("median", np.median)):
         stats = reducer(series, axis=0)
         out.extend(
-            TraceRow(
-                label,
-                spec.algo,
-                it,
-                float(stats[it, 0]),
-                float(stats[it, 1]),
-                float(stats[it, 2]),
-            )
-            for it in range(horizon + 1)
+            TraceRow(label, spec.algo, it, *map(float, stats[it]))
+            for it in range(horizon)
         )
     return out
 
@@ -265,37 +250,26 @@ def _aggregate(spec: ExperimentSpec, per_trial_rows) -> list:
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> TraceTable:
     """Run every trial of the spec and assemble the trace table.
 
-    Trials are independent; with workers > 1 they run concurrently, and
-    the output is canonicalized by (trial, iteration) so scheduling never
-    changes it.  A diverging trial keeps its partial rows and is noted in
-    the table's divergences map instead of aborting the run.
+    Trials are independent; with workers > 1 they run on a thread pool,
+    and the table lists them in trial order whatever the scheduling.  A
+    diverging trial keeps its partial rows and is noted in the table's
+    divergences map instead of aborting the run.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    results = {}
-    failures = {}
+    run_trial = functools.partial(_run_trial, spec)
     if workers == 1:
-        for trial in range(spec.trials):
-            results[trial], failures[trial] = _run_trial(spec, trial)
+        results = list(map(run_trial, range(spec.trials)))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                trial: pool.submit(_run_trial, spec, trial)
-                for trial in range(spec.trials)
-            }
-            for trial, fut in futures.items():
-                results[trial], failures[trial] = fut.result()
-    per_trial = [results[t] for t in range(spec.trials)]
-    table = TraceTable(spec=spec)
-    for rows in per_trial:
-        table.rows.extend(rows)
-    table.aggregates = _aggregate(spec, per_trial)
-    table.divergences = {t: msg for t, msg in failures.items() if msg}
-    return table
-
-
-def _format_value(value) -> str:
-    return format(value, "g")
+            results = list(pool.map(run_trial, range(spec.trials)))
+    by_trial = [rows for rows, _ in results]
+    return TraceTable(
+        spec=spec,
+        by_trial=by_trial,
+        aggregates=_aggregate(spec, by_trial),
+        divergences={t: msg for t, (_, msg) in enumerate(results) if msg},
+    )
 
 
 def sweep_specs(base: ExperimentSpec, param: str, values) -> list:
@@ -322,14 +296,11 @@ def run_sweep(
     Every swept spec is built and validated before the first run.
     """
     specs = sweep_specs(base, param, values)
-    field_name = SWEEP_FIELDS[param]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for spec in specs:
-        table = run_experiment(spec, workers=workers)
-        value = getattr(spec, field_name)
-        path = out_dir / f"{param}_{_format_value(value)}.csv"
-        table.write_csv(path, timing=timing)
+        path = out_dir / f"{param}_{getattr(spec, SWEEP_FIELDS[param]):g}.csv"
+        run_experiment(spec, workers=workers).write_csv(path, timing=timing)
         written.append(path)
     return written

@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 usage error, 2 numeric/regime error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -51,28 +50,26 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mmvgreedy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="generate an instance and write JSM1 files")
-    gen.add_argument("--n", type=int, default=200)
-    gen.add_argument("--m", type=int, default=100)
-    gen.add_argument("--L", type=int, default=40)
-    gen.add_argument("--k", type=int, default=5)
-    gen.add_argument("--sigma", type=float, default=0.0)
-    gen.add_argument("--seed", type=int, default=0)
+    instance = _Parser(add_help=False)
+    instance.add_argument("--n", type=int, default=200)
+    instance.add_argument("--m", type=int, default=100)
+    instance.add_argument("--L", type=int, default=40)
+    instance.add_argument("--k", type=int, default=5)
+    instance.add_argument("--sigma", type=float, default=0.0)
+    instance.add_argument("--seed", type=int, default=0)
+
+    gen = sub.add_parser(
+        "gen", parents=[instance], help="generate an instance and write JSM1 files"
+    )
     gen.add_argument("--out-dir", required=True)
 
-    run = sub.add_parser("run", help="run one solver configuration")
+    run = sub.add_parser("run", parents=[instance], help="run one solver configuration")
     run.add_argument("--algo", choices=sorted(SOLVERS), required=True)
-    run.add_argument("--n", type=int, default=200)
-    run.add_argument("--m", type=int, default=100)
-    run.add_argument("--L", type=int, default=40)
-    run.add_argument("--k", type=int, default=5)
-    run.add_argument("--sigma", type=float, default=0.0)
     run.add_argument("--batch-size", type=int, default=1)
     run.add_argument("--gamma", type=float, default=1.0)
     run.add_argument("--max-iter", type=int, default=1000)
     run.add_argument("--tol", type=float, default=1e-6)
     run.add_argument("--trials", type=int, default=50)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--workers", type=positive_int, default=1)
     run.add_argument(
         "--timing",
@@ -103,7 +100,6 @@ def _build_parser() -> _Parser:
     kappa.add_argument("--eta", type=float, default=1.0)
     kappa.add_argument("--eta1", type=float, default=1.0)
     kappa.add_argument("--eta2", type=float, default=1.0)
-    kappa.add_argument("--p-min", type=float, default=None)
     kappa.add_argument("--p-max", type=float, default=None)
     kappa.add_argument("--components", type=int, default=1, help="component count M")
 
@@ -117,14 +113,19 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_gen(args) -> int:
+def _spec(args, **fields) -> bench.ExperimentSpec:
+    """The spec of the instance flags plus fields; a bad one is a usage error."""
     try:
-        spec = bench.ExperimentSpec(
+        return bench.ExperimentSpec(
             n=args.n, m=args.m, L=args.L, k=args.k,
-            noise_sigma=args.sigma, seed=args.seed,
+            noise_sigma=args.sigma, seed=args.seed, **fields,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _cmd_gen(args) -> int:
+    spec = _spec(args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     A, X_star, Y = bench.generate_instance(spec, trial=0)
@@ -136,16 +137,10 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        spec = bench.ExperimentSpec(
-            n=args.n, m=args.m, L=args.L, k=args.k,
-            noise_sigma=args.sigma, algo=args.algo,
-            batch_size=args.batch_size, gamma=args.gamma,
-            max_iter=args.max_iter, tol=args.tol,
-            trials=args.trials, seed=args.seed,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    spec = _spec(
+        args, algo=args.algo, batch_size=args.batch_size, gamma=args.gamma,
+        max_iter=args.max_iter, tol=args.tol, trials=args.trials,
+    )
     table = bench.run_experiment(spec, workers=args.workers)
     table.write_csv(args.out, timing=args.timing)
     mean_final = float(table.final_rel_errs().mean())
@@ -163,10 +158,6 @@ def _load_base_config(path) -> bench.ExperimentSpec:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config {path} must be a flat JSON object")
-    known = {f.name for f in dataclasses.fields(bench.ExperimentSpec)}
-    unknown = set(raw) - known
-    if unknown:
-        raise UsageError(f"unknown config keys: {sorted(unknown)}")
     try:
         return bench.ExperimentSpec(**raw)
     except (TypeError, ValueError) as exc:
@@ -211,13 +202,13 @@ def _cmd_kappa(args) -> int:
     elif args.family == "mstogradmp":
         kappa = contraction_mstogradmp(
             constants, eta1=args.eta1, eta2=args.eta2,
-            p_min=args.p_min, p_max=args.p_max, M=args.components,
+            p_max=args.p_max, M=args.components,
         )
         print(f"kappa {kappa!r}")
     else:
         result = contraction_cstogradmp(
             constants, eta1=args.eta1, eta2=args.eta2,
-            p_min=args.p_min, p_max=args.p_max, M=args.components,
+            p_max=args.p_max, M=args.components,
         )
         print(f"kappa {result.kappa!r}")
         print(f"beta1 {result.beta1!r}")

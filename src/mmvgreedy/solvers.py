@@ -64,6 +64,8 @@ __all__ = [
 
 # abort when the objective blows up past this multiple of its initial value
 _DIVERGENCE_FACTOR = 1e12
+# the solvers that take the GradMP step, which matches 2k rows
+_MATCHING_PURSUITS = ("mstogradmp", "cstogradmp")
 
 
 class DivergenceError(RuntimeError):
@@ -100,14 +102,25 @@ class SolverConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("sparsity k must be >= 1")
-        if not self.gamma > 0:
-            raise ValueError("step size gamma must be positive")
+        if not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol < 0:
-            raise ValueError("tol must be nonnegative")
+        if not self.tol >= 0:
+            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+
+    def check_problem(self, algo: str, n: int, m: int) -> None:
+        """Raise ValueError unless solver algo can run on n rows, m components."""
+        if self.k > n:
+            raise ValueError(f"sparsity k={self.k} exceeds signal length n={n}")
+        if algo in _MATCHING_PURSUITS and 2 * self.k > n:
+            raise ValueError(
+                f"{algo} matches 2k rows and needs 2k <= n, got k={self.k}, n={n}"
+            )
+        if self.batch_size > m:
+            raise ValueError(f"batch_size={self.batch_size} exceeds m={m} components")
 
 
 @dataclass
@@ -208,18 +221,6 @@ class _TraceBuilder:
         )
 
 
-def _common_checks(obj: MmvObjective, cfg: SolverConfig, need_half_n: bool) -> None:
-    if cfg.k > obj.n:
-        raise ValueError(f"sparsity k={cfg.k} exceeds signal length n={obj.n}")
-    if need_half_n and 2 * cfg.k > obj.n:
-        raise ValueError(f"matching pursuit needs 2k <= n, got k={cfg.k}, n={obj.n}")
-    if cfg.batch_size > obj.component_count:
-        raise ValueError(
-            f"batch_size={cfg.batch_size} exceeds component count "
-            f"{obj.component_count}"
-        )
-
-
 def _iht_step(obj, X, kept, batch, scale, k):
     """Scaled stochastic gradient step, then keep the k rows of largest norm.
 
@@ -271,14 +272,15 @@ class _Problem:
     active: bool = True
 
 
-def _solve(obj: MmvObjective, cfg: SolverConfig, step, per_column: bool) -> SolveTrace:
-    """Run step on obj, or on each of its single-column problems, to a stop.
+def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
+    """Run algo's step on obj, or on each of its single-column problems.
 
     Only the draws and the steps are timed.  A joint record carries the
     step's support; a concatenated one the row support of the combined
     iterate, which may exceed k while the columns disagree.
     """
-    _common_checks(obj, cfg, need_half_n=step is _gradmp_step)
+    cfg.check_problem(algo, obj.n, obj.component_count)
+    step = _gradmp_step if algo in _MATCHING_PURSUITS else _iht_step
     plan = batch_partition(obj.component_count, cfg.batch_size)
     sampler = IndexSampler(_batch_probabilities(cfg, plan.count))
     tracer = _TraceBuilder(obj, cfg)
@@ -328,22 +330,22 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, step, per_column: bool) -> Solv
 
 def mstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Joint stochastic IHT; with one batch of all components, projected GD."""
-    return _solve(obj, cfg, _iht_step, per_column=False)
+    return _solve(obj, cfg, "mstoiht", per_column=False)
 
 
 def cstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Concatenated stochastic IHT: the IHT step run on each column alone."""
-    return _solve(obj, cfg, _iht_step, per_column=True)
+    return _solve(obj, cfg, "cstoiht", per_column=True)
 
 
 def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Joint stochastic gradient matching pursuit over all signal columns."""
-    return _solve(obj, cfg, _gradmp_step, per_column=False)
+    return _solve(obj, cfg, "mstogradmp", per_column=False)
 
 
 def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Concatenated stochastic GradMP: the GradMP step run on each column alone."""
-    return _solve(obj, cfg, _gradmp_step, per_column=True)
+    return _solve(obj, cfg, "cstogradmp", per_column=True)
 
 
 SOLVERS = {

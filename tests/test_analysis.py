@@ -125,7 +125,7 @@ def test_mstogradmp_zero_gap():
 
 def test_mstogradmp_general_matches_oracle():
     c = consts(0.3, 0.5, rho_plus=0.8)
-    got = contraction_mstogradmp(c, eta1=1.1, eta2=1.3, p_min=0.05, p_max=0.2, M=10)
+    got = contraction_mstogradmp(c, eta1=1.1, eta2=1.3, p_max=0.2, M=10)
     want = oracle_mstogradmp(0.3, 0.8, 0.5, 1.1, 1.3, 10 * 0.2)
     assert got == pytest.approx(want, rel=1e-14)
 
@@ -154,7 +154,7 @@ def test_cstogradmp_uniform_closed_form():
 
 def test_cstogradmp_components():
     c = consts(0.3, 0.4, rho_plus=0.6)
-    r = contraction_cstogradmp(c, eta1=1.2, eta2=1.1, p_min=0.1, p_max=0.3, M=6)
+    r = contraction_cstogradmp(c, eta1=1.2, eta2=1.1, p_max=0.3, M=6)
     beta1 = 0.4 / (2 * 0.3 - 0.4)
     beta2 = 4 * 6 * 0.3 * ((2 * 1.44 - 1) * 0.6 - 1.44 * 0.3) / (1.44 * 0.3) + 2 * 0.44 / 1.44
     assert r.beta1 == pytest.approx(beta1, rel=1e-14)

@@ -1,4 +1,5 @@
 import dataclasses
+import statistics
 
 import numpy as np
 import pytest
@@ -143,6 +144,48 @@ def test_aggregate_rows_cover_every_iteration():
     assert [r.iteration for r in medians] == list(range(horizon + 1))
 
 
+def test_queries_and_aggregates_match_the_csv_rows():
+    spec = small_spec(gamma=20.0, batch_size=20, max_iter=300, tol=1e-3, trials=6)
+    table = run_experiment(spec)
+    rows = {}
+    for line in table.to_csv_text(timing="wall").splitlines()[1:]:
+        trial, algo, it, *values = line.split(",")
+        assert algo == spec.algo
+        rows.setdefault(trial, []).append((int(it), *map(float, values)))
+    trials = [rows.pop(str(t)) for t in range(spec.trials)]
+    assert sorted(rows) == ["mean", "median"]
+    stops = {
+        "diverged" if t in table.divergences
+        else "max_iter" if trial[-1][0] == spec.max_iter else "tolerance"
+        for t, trial in enumerate(trials)
+    }
+    assert stops == {"diverged", "max_iter", "tolerance"}
+
+    for t, trial in enumerate(trials):
+        assert [r[0] for r in trial] == list(range(len(trial)))
+        assert [
+            (r.iteration, r.time_s, r.rel_err, r.objective)
+            for r in table.trial_rows(t)
+        ] == trial
+    assert list(table.final_rel_errs()) == [trial[-1][2] for trial in trials]
+    assert list(table.total_times()) == [trial[-1][1] for trial in trials]
+    for threshold in (0.5, 1e-2, 1e-8):
+        assert list(table.hit_iterations(threshold)) == [
+            next((r[0] for r in trial if r[2] <= threshold), spec.max_iter + 1)
+            for trial in trials
+        ]
+
+    horizon = max(len(trial) for trial in trials)
+    for label, reduce in (("mean", statistics.fmean), ("median", statistics.median)):
+        assert [r[0] for r in rows[label]] == list(range(horizon))
+        for it, row in enumerate(rows[label]):
+            # a trial that stopped before it carries its last row forward
+            at_it = [trial[min(it, len(trial) - 1)] for trial in trials]
+            for col in (1, 2, 3):
+                want = reduce(r[col] for r in at_it)
+                assert row[col] == pytest.approx(want, rel=1e-12), (label, it, col)
+
+
 def test_workers_do_not_change_results():
     spec = small_spec(trials=4)
     a = run_experiment(spec, workers=1).to_csv_text()
@@ -212,6 +255,10 @@ def test_spec_validation():
         small_spec(noise_sigma=-0.1)
     with pytest.raises(ValueError):
         small_spec(algo="gradient_descent")
+    for bad in (dict(noise_sigma=np.nan), dict(noise_sigma=np.inf),
+                dict(gamma=np.inf), dict(gamma=np.nan), dict(tol=np.nan)):
+        with pytest.raises(ValueError):
+            small_spec(**bad)
 
 
 def test_spec_rejects_batches_larger_than_m_and_matching_past_half_n():

@@ -103,6 +103,9 @@ BAD_CONFIGS = {
     "batch larger than m": dict(algo="mstoiht", m=20, batch_size=21),
     "mstogradmp 2k > n": dict(algo="mstogradmp", n=30, k=16),
     "cstogradmp 2k > n": dict(algo="cstogradmp", n=30, k=16),
+    "sigma nan": dict(algo="mstoiht", sigma="nan"),
+    "gamma inf": dict(algo="mstoiht", gamma="inf"),
+    "tol nan": dict(algo="mstoiht", tol="nan"),
 }
 
 
@@ -131,7 +134,7 @@ def test_run_rejects_bad_config_before_any_work(tmp_path, capsys, no_work, bad):
 @pytest.mark.parametrize(
     "algo, param, values",
     [("mstoiht", "batch", "1,21"), ("mstogradmp", "sparsity", "3,16"),
-     ("cstogradmp", "sparsity", "3,16")],
+     ("cstogradmp", "sparsity", "3,16"), ("mstoiht", "noise", "0.02,nan")],
 )
 def test_sweep_rejects_bad_value_before_any_work(
     tmp_path, capsys, no_work, algo, param, values

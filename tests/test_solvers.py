@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,10 @@ def test_config_validation():
         SolverConfig(k=0)
     with pytest.raises(ValueError):
         SolverConfig(k=2, gamma=0.0)
+    with pytest.raises(ValueError):
+        SolverConfig(k=2, gamma=math.inf)
+    with pytest.raises(ValueError):
+        SolverConfig(k=2, tol=math.nan)
     with pytest.raises(ValueError):
         SolverConfig(k=2, tol=-1.0)
     with pytest.raises(ValueError):
