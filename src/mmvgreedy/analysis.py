@@ -47,16 +47,13 @@ class ConvexityConstants:
     rho_minus is the restricted strong convexity constant of the mean
     objective, rho_plus the largest per-component restricted smoothness
     constant, rho_plus_bar their mean (defaults to rho_plus), and alpha
-    the largest probability-weighted smoothness ratio.  delta and m
-    optionally record the isometry constant and row count they came from.
+    the largest probability-weighted smoothness ratio.
     """
 
     rho_minus: float
     rho_plus: float
     alpha: float
     rho_plus_bar: float | None = None
-    delta: float | None = None
-    m: int | None = None
 
     def __post_init__(self):
         if self.rho_plus_bar is None:
@@ -71,10 +68,6 @@ class ConvexityConstants:
             raise ValueError(
                 "constants must satisfy rho_minus <= rho_plus_bar <= rho_plus"
             )
-        if self.delta is not None and not 0 <= self.delta < 1:
-            raise ValueError("delta must lie in [0, 1)")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be a positive count")
 
 
 def _require_eta(eta: float, name: str = "eta") -> float:
@@ -252,6 +245,10 @@ def tolerance_mstogradmp(
     return factor * bracket * inner_max
 
 
+# the most k-column supports exhaustive isometry estimation will scan
+_EXHAUSTIVE_SUPPORTS_MAX = 10**6
+
+
 @dataclass(frozen=True)
 class RipEstimate:
     """Estimated restricted isometry constant of a sensing matrix.
@@ -273,18 +270,15 @@ def _support_deviation(A, support) -> float:
 
 
 def rip_constant(
-    A,
-    k: int,
-    mode: str = "exhaustive",
-    samples: int = 1000,
+    A, k: int, mode: str = "exhaustive", samples: int = 1000,
     rng: RngStream | None = None,
-    max_supports: int = 1_000_000,
 ) -> RipEstimate:
     """Largest deviation of A's k-column Gram blocks from the identity.
 
     Exhaustive mode enumerates every support of size k and is exact but
-    refuses to run past max_supports candidate supports; sampled mode
-    draws random supports and returns a lower bound flagged as such.
+    refuses to run past _EXHAUSTIVE_SUPPORTS_MAX candidate supports;
+    sampled mode draws random supports and returns a lower bound flagged
+    as such.
     """
     A = as_matrix(A, "A")
     n = A.shape[1]
@@ -292,9 +286,10 @@ def rip_constant(
         raise ValueError(f"k={k} out of range [1, {n}]")
     if mode == "exhaustive":
         total = math.comb(n, k)
-        if total > max_supports:
+        if total > _EXHAUSTIVE_SUPPORTS_MAX:
             raise RegimeError(
-                f"exhaustive mode would scan {total} supports (cap {max_supports}); "
+                f"exhaustive mode would scan {total} supports "
+                f"(cap {_EXHAUSTIVE_SUPPORTS_MAX}); "
                 "use sampled mode"
             )
         delta = 0.0

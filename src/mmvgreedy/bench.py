@@ -4,13 +4,12 @@ Every trial regenerates the sensing matrix, the planted row-sparse signal,
 and the noise from a trial-indexed substream, runs the selected solver,
 and records a relative-error/objective trace.  Per-trial streams are
 derived from (seed, trial), so raising the trial count leaves earlier
-trials bit-identical, and trials may run on threads (workers > 1) without
-changing any output byte, though not always faster (see the README).  A
-TraceTable keeps each trial's rows at its trial index.
+trials bit-identical.  Trials run one after another, and a TraceTable
+keeps each trial's rows at its trial index.
 
 A spec checks its own fields and builds its solver settings as every
-trial does, so SolverConfig's rules, non-finite values included, raise
-ValueError before any instance is generated.
+trial does, so SolverConfig's rules, non-finite values and non-integer
+counts included, raise ValueError before any instance is generated.
 
 Wall-clock timing covers solver compute only (never data generation or
 diagnostics).  CSV output zeroes the time column by default so repeated
@@ -21,16 +20,14 @@ the cost of that reproducibility.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .linalg import RngStream, derive_seed, require_finite
+from .linalg import RngStream, derive_seed, require_finite, require_int
 from .objective import MmvObjective
 from .solvers import SOLVERS, DivergenceError, SolverConfig
 
@@ -77,8 +74,9 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("n", "m", "L", "trials"):
-            if getattr(self, name) < 1:
+            if require_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        require_int(self.seed, "seed")
         if not 0 <= self.noise_sigma < math.inf:
             raise ValueError(
                 f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
@@ -172,9 +170,6 @@ class TraceTable:
         """Every trial's rows, in trial order."""
         return tuple(itertools.chain.from_iterable(self.by_trial))
 
-    def trial_rows(self, trial: int) -> tuple:
-        return self.by_trial[trial]
-
     def final_rel_errs(self) -> np.ndarray:
         """Final relative error of each trial, in trial order."""
         return np.array([rows[-1].rel_err for rows in self.by_trial])
@@ -248,21 +243,15 @@ def _aggregate(spec: ExperimentSpec, by_trial) -> list:
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> TraceTable:
-    """Run every trial of the spec and assemble the trace table.
+    """Run every trial of the spec in order and assemble the trace table.
 
-    Trials are independent; with workers > 1 they run on a thread pool,
-    and the table lists them in trial order whatever the scheduling.  A
-    diverging trial keeps its partial rows and is noted in the table's
-    divergences map instead of aborting the run.
+    A diverging trial keeps its partial rows and is noted in the table's
+    divergences map instead of aborting the run.  workers is kept for
+    callers that pass workers=1; any other value raises ValueError.
     """
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    run_trial = functools.partial(_run_trial, spec)
-    if workers == 1:
-        results = list(map(run_trial, range(spec.trials)))
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, range(spec.trials)))
+    if workers != 1:
+        raise ValueError(f"trials run one by one; workers must be 1, got {workers}")
+    results = [_run_trial(spec, trial) for trial in range(spec.trials)]
     by_trial = [rows for rows, _ in results]
     return TraceTable(
         spec=spec,
@@ -284,12 +273,7 @@ def sweep_specs(base: ExperimentSpec, param: str, values) -> list:
 
 
 def run_sweep(
-    base: ExperimentSpec,
-    param: str,
-    values,
-    out_dir,
-    timing: str = "off",
-    workers: int = 1,
+    base: ExperimentSpec, param: str, values, out_dir, timing: str = "off"
 ) -> list:
     """Run one experiment per swept value and write one CSV per value.
 
@@ -301,6 +285,6 @@ def run_sweep(
     written = []
     for spec in specs:
         path = out_dir / f"{param}_{getattr(spec, SWEEP_FIELDS[param]):g}.csv"
-        run_experiment(spec, workers=workers).write_csv(path, timing=timing)
+        run_experiment(spec).write_csv(path, timing=timing)
         written.append(path)
     return written

@@ -39,13 +39,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="mmvgreedy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -70,7 +63,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--max-iter", type=int, default=1000)
     run.add_argument("--tol", type=float, default=1e-6)
     run.add_argument("--trials", type=int, default=50)
-    run.add_argument("--workers", type=positive_int, default=1)
     run.add_argument(
         "--timing",
         choices=("off", "wall"),
@@ -84,7 +76,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--values", required=True, help="comma-separated values")
     sweep.add_argument("--base-config", required=True, help="flat JSON config file")
     sweep.add_argument("--out-dir", required=True)
-    sweep.add_argument("--workers", type=positive_int, default=1)
     sweep.add_argument("--timing", choices=("off", "wall"), default="off")
 
     analyze = sub.add_parser("analyze", help="theory and matrix diagnostics")
@@ -141,7 +132,7 @@ def _cmd_run(args) -> int:
         args, algo=args.algo, batch_size=args.batch_size, gamma=args.gamma,
         max_iter=args.max_iter, tol=args.tol, trials=args.trials,
     )
-    table = bench.run_experiment(spec, workers=args.workers)
+    table = bench.run_experiment(spec)
     table.write_csv(args.out, timing=args.timing)
     mean_final = float(table.final_rel_errs().mean())
     print(f"wrote {args.out} trials={spec.trials} mean_final_rel_err={mean_final!r}")
@@ -173,10 +164,7 @@ def _cmd_sweep(args) -> int:
         bench.sweep_specs(base, args.param, values)
     except ValueError as exc:
         raise UsageError(f"bad sweep value: {exc}") from exc
-    written = bench.run_sweep(
-        base, args.param, values, args.out_dir,
-        timing=args.timing, workers=args.workers,
-    )
+    written = bench.run_sweep(base, args.param, values, args.out_dir, args.timing)
     for path in written:
         print(f"wrote {path}")
     return 0

@@ -1,10 +1,10 @@
 """Dense matrix primitives shared by the whole package.
 
 Matrices are plain C-contiguous float64 2-D numpy arrays, treated as
-immutable once constructed (safe to share across threads).  This module
-provides the norms used everywhere, minimum-norm least squares, and a
-seeded random-stream abstraction with explicit substream derivation so
-that trials and columns can be randomized independently and reproducibly.
+immutable once constructed.  This module provides the norms used
+everywhere, minimum-norm least squares, and a seeded random-stream
+abstraction with explicit substream derivation so that trials and columns
+can be randomized independently and reproducibly.
 A stream is single-owner: share the (seed, id) recipe, not the object.
 
 Least squares solves the normal equations of the smaller side: a wide
@@ -25,6 +25,7 @@ __all__ = [
     "RngStream",
     "as_matrix",
     "require_finite",
+    "require_int",
     "frobenius_norm",
     "row_norms",
     "least_squares_solve",
@@ -49,6 +50,13 @@ def require_finite(X: np.ndarray, name: str = "matrix") -> np.ndarray:
     if not np.isfinite(X).all():
         raise ValueError(f"{name} contains non-finite entries")
     return X
+
+
+def require_int(value, name: str):
+    """Reject anything but a Python or numpy integer; bool is not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def frobenius_norm(X) -> float:

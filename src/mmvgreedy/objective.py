@@ -30,10 +30,9 @@ __all__ = ["MmvObjective", "BatchPlan", "batch_partition"]
 class BatchPlan:
     """A partition of component indices {0..M-1} into consecutive batches.
 
-    Every batch has size batch_size except possibly the last one.
+    Every batch has the same size except possibly the last one.
     """
 
-    batch_size: int
     batches: tuple
 
     @property
@@ -46,7 +45,7 @@ def batch_partition(M: int, b: int) -> BatchPlan:
     if not 1 <= b <= M:
         raise ValueError(f"batch size {b} out of range [1, {M}]")
     batches = tuple(tuple(range(i, min(i + b, M))) for i in range(0, M, b))
-    return BatchPlan(batch_size=b, batches=batches)
+    return BatchPlan(batches)
 
 
 class MmvObjective:

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import IndexSampler, RngStream, frobenius_norm, row_norms
+from .linalg import IndexSampler, RngStream, frobenius_norm, require_int, row_norms
 from .linalg import draw_index  # noqa: F401  the benchmark's spans look it up here
 from .objective import MmvObjective, batch_partition
 from .sparsity import (
@@ -100,14 +100,11 @@ class SolverConfig:
     ground_truth: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("sparsity k must be >= 1")
+        for name in ("k", "batch_size", "max_iter"):
+            if require_int(getattr(self, name), name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
         if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
 

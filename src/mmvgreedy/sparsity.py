@@ -113,13 +113,7 @@ def support_union(a: RowSupport, b: RowSupport) -> RowSupport:
     return RowSupport(np.union1d(a.as_array(), b.as_array()), a.ambient)
 
 
-def row_support(X, tol: float = 0.0) -> RowSupport:
-    """Indices of rows with norm strictly greater than tol.
-
-    With tol = 0 the size of the result is the row sparsity of X.
-    """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+def row_support(X) -> RowSupport:
+    """Indices of the nonzero rows of X; their count is its row sparsity."""
     X = as_matrix(X)
-    keep = np.flatnonzero(row_norms(X) > tol)
-    return RowSupport(keep, X.shape[0])
+    return RowSupport(np.flatnonzero(row_norms(X) > 0), X.shape[0])

@@ -15,6 +15,7 @@ from mmvgreedy.bench import (
     run_sweep,
 )
 from mmvgreedy.linalg import RngStream
+from mmvgreedy.solvers import SolverConfig
 from mmvgreedy.sparsity import row_support
 
 
@@ -93,16 +94,16 @@ def test_add_noise_deterministic():
 
 def test_trace_table_shape_single_trial_single_iter():
     table = run_experiment(small_spec(trials=1, max_iter=1))
-    trial_rows = table.trial_rows(0)
-    assert [r.iteration for r in trial_rows] == [0, 1]
-    assert trial_rows[0].rel_err == 1.0
-    assert trial_rows[0].time_s == 0.0
+    rows = table.by_trial[0]
+    assert [r.iteration for r in rows] == [0, 1]
+    assert rows[0].rel_err == 1.0
+    assert rows[0].time_s == 0.0
 
 
 def test_trace_starts_at_unit_error():
     table = run_experiment(small_spec())
     for trial in range(3):
-        assert table.trial_rows(trial)[0].rel_err == 1.0
+        assert table.by_trial[trial][0].rel_err == 1.0
 
 
 def test_csv_header_and_determinism():
@@ -128,8 +129,8 @@ def test_first_trials_invariant_under_trial_count():
     few = run_experiment(small_spec(trials=2))
     many = run_experiment(small_spec(trials=5))
     for trial in range(2):
-        a = few.trial_rows(trial)
-        b = many.trial_rows(trial)
+        a = few.by_trial[trial]
+        b = many.by_trial[trial]
         assert [(r.iteration, r.rel_err, r.objective) for r in a] == [
             (r.iteration, r.rel_err, r.objective) for r in b
         ]
@@ -165,7 +166,7 @@ def test_queries_and_aggregates_match_the_csv_rows():
         assert [r[0] for r in trial] == list(range(len(trial)))
         assert [
             (r.iteration, r.time_s, r.rel_err, r.objective)
-            for r in table.trial_rows(t)
+            for r in table.by_trial[t]
         ] == trial
     assert list(table.final_rel_errs()) == [trial[-1][2] for trial in trials]
     assert list(table.total_times()) == [trial[-1][1] for trial in trials]
@@ -186,11 +187,14 @@ def test_queries_and_aggregates_match_the_csv_rows():
                 assert row[col] == pytest.approx(want, rel=1e-12), (label, it, col)
 
 
-def test_workers_do_not_change_results():
-    spec = small_spec(trials=4)
-    a = run_experiment(spec, workers=1).to_csv_text()
-    b = run_experiment(spec, workers=3).to_csv_text()
-    assert a == b
+def test_run_experiment_takes_only_one_worker():
+    spec = small_spec(trials=2)
+    assert run_experiment(spec, workers=1).to_csv_text() == run_experiment(
+        spec
+    ).to_csv_text()
+    for workers in (0, 2):
+        with pytest.raises(ValueError, match="workers must be 1"):
+            run_experiment(spec, workers=workers)
 
 
 def test_divergence_is_recorded_not_fatal():
@@ -199,7 +203,7 @@ def test_divergence_is_recorded_not_fatal():
     assert table.divergences  # at least one trial blew up
     # rows for the diverged trial still present (iteration 0 at minimum)
     for trial in table.divergences:
-        assert table.trial_rows(trial)
+        assert table.by_trial[trial]
 
 
 def test_generate_instance_consistency():
@@ -276,3 +280,30 @@ def test_sweep_validates_every_value_before_the_first_run(tmp_path):
     with pytest.raises(ValueError, match="batch_size"):
         run_sweep(small_spec(), "batch", [1, 21], tmp_path)
     assert not list(tmp_path.iterdir())
+
+
+NON_INTEGER_FIELDS = [
+    ("n", 30.0), ("m", 20.5), ("L", True), ("trials", 3.0), ("seed", 1.5),
+    ("k", 2.5), ("batch_size", 1.0), ("max_iter", False), ("max_iter", "8"),
+]
+
+
+@pytest.mark.parametrize("name, value", NON_INTEGER_FIELDS)
+def test_spec_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        small_spec(**{name: value})
+
+
+@pytest.mark.parametrize("name, value", [("k", 2.5), ("batch_size", True),
+                                         ("max_iter", 8.0)])
+def test_solver_config_rejects_non_integer_counts(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SolverConfig(**{"k": 3, name: value})
+
+
+def test_spec_accepts_numpy_integers():
+    fields = dict(n=30, m=20, L=3, k=3, batch_size=1, max_iter=8, trials=3, seed=42)
+    spec = small_spec(**{key: np.int64(v) for key, v in fields.items()})
+    assert run_experiment(spec).to_csv_text() == run_experiment(
+        small_spec()
+    ).to_csv_text()

@@ -150,7 +150,7 @@ def test_sweep_rejects_bad_value_before_any_work(
 
 
 @pytest.mark.parametrize("command", ["run", "sweep"])
-def test_zero_workers_is_a_usage_error_before_any_output(
+def test_workers_flag_is_a_usage_error_before_any_output(
     tmp_path, capsys, no_work, command
 ):
     out = tmp_path / "out"
@@ -161,8 +161,23 @@ def test_zero_workers_is_a_usage_error_before_any_output(
         cfg_path.write_text(json.dumps(dict(n=30, m=20, L=3, k=3)))
         argv = ["sweep", "--param", "noise", "--values", "0.01",
                 "--base-config", str(cfg_path), "--out-dir", str(out)]
-    assert cli.main([*argv, "--workers", "0"]) == 1
-    assert "--workers: must be >= 1" in capsys.readouterr().err
+    assert cli.main([*argv, "--workers", "2"]) == 1
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value", [("k", 2.5), ("seed", 1.5), ("trials", True)])
+def test_sweep_rejects_non_integer_config_before_any_output(
+    tmp_path, capsys, no_work, field, value
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 30, "m": 20, "L": 3, "k": 3, field: value}))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--param", "noise", "--values", "0.01",
+                     "--base-config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be an integer" in err
     assert not out.exists()
 
 
