@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import RngStream, as_matrix, draw_index, row_norms
+from .linalg import IndexSampler, RngStream, as_matrix, row_norms
 from .objective import MmvObjective
 
 __all__ = [
@@ -355,7 +355,7 @@ def verify_rsc_rss(
     smoothness_violations = 0
     rho_minus_observed = math.inf
     rho_plus_observed = 0.0
-    p_uniform = np.full(obj.component_count, 1.0 / obj.component_count)
+    sampler = IndexSampler(np.full(obj.component_count, 1.0 / obj.component_count))
 
     for _ in range(pairs):
         support = np.sort(rng.choice_without_replacement(obj.n, k))
@@ -373,7 +373,7 @@ def verify_rsc_rss(
             convexity_violations += 1
         rho_minus_observed = min(rho_minus_observed, 2.0 * gap / diff_sq)
 
-        i = draw_index(p_uniform, rng)
+        i = sampler.draw(rng)
         grad_gap = float(
             np.linalg.norm(obj.batch_grad([i], X) - obj.batch_grad([i], Xp))
         )

@@ -65,10 +65,10 @@ class ExperimentSpec:
     k: int = 5
     noise_sigma: float = 0.0
     algo: str = "mstoiht"
-    batch_size: int = 1
-    gamma: float = 1.0
-    max_iter: int = 1000
-    tol: float = 1e-6
+    batch_size: int = SolverConfig.batch_size
+    gamma: float = SolverConfig.gamma
+    max_iter: int = SolverConfig.max_iter
+    tol: float = SolverConfig.tol
     trials: int = 50
     seed: int = 0
 

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric/regime error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -43,26 +44,30 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="mmvgreedy", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    instance = _Parser(add_help=False)
-    instance.add_argument("--n", type=int, default=200)
-    instance.add_argument("--m", type=int, default=100)
-    instance.add_argument("--L", type=int, default=40)
-    instance.add_argument("--k", type=int, default=5)
-    instance.add_argument("--sigma", type=float, default=0.0)
-    instance.add_argument("--seed", type=int, default=0)
+    # the spec flags declare no defaults: a flag not given takes ExperimentSpec's
+    instance = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
+    instance.add_argument("--n", type=int)
+    instance.add_argument("--m", type=int)
+    instance.add_argument("--L", type=int)
+    instance.add_argument("--k", type=int)
+    instance.add_argument("--sigma", type=float, dest="noise_sigma", metavar="SIGMA")
+    instance.add_argument("--seed", type=int)
 
     gen = sub.add_parser(
         "gen", parents=[instance], help="generate an instance and write JSM1 files"
     )
     gen.add_argument("--out-dir", required=True)
 
-    run = sub.add_parser("run", parents=[instance], help="run one solver configuration")
+    run = sub.add_parser(
+        "run", parents=[instance], argument_default=argparse.SUPPRESS,
+        help="run one solver configuration",
+    )
     run.add_argument("--algo", choices=sorted(SOLVERS), required=True)
-    run.add_argument("--batch-size", type=int, default=1)
-    run.add_argument("--gamma", type=float, default=1.0)
-    run.add_argument("--max-iter", type=int, default=1000)
-    run.add_argument("--tol", type=float, default=1e-6)
-    run.add_argument("--trials", type=int, default=50)
+    run.add_argument("--batch-size", type=int)
+    run.add_argument("--gamma", type=float)
+    run.add_argument("--max-iter", type=int)
+    run.add_argument("--tol", type=float)
+    run.add_argument("--trials", type=int)
     run.add_argument(
         "--timing",
         choices=("off", "wall"),
@@ -104,13 +109,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _spec(args, **fields) -> bench.ExperimentSpec:
-    """The spec of the instance flags plus fields; a bad one is a usage error."""
+def _spec(args) -> bench.ExperimentSpec:
+    """The spec of the flags given; a bad one is a usage error."""
+    fields = dataclasses.fields(bench.ExperimentSpec)
+    given = {f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)}
     try:
-        return bench.ExperimentSpec(
-            n=args.n, m=args.m, L=args.L, k=args.k,
-            noise_sigma=args.sigma, seed=args.seed, **fields,
-        )
+        return bench.ExperimentSpec(**given)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -128,10 +132,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    spec = _spec(
-        args, algo=args.algo, batch_size=args.batch_size, gamma=args.gamma,
-        max_iter=args.max_iter, tol=args.tol, trials=args.trials,
-    )
+    spec = _spec(args)
     table = bench.run_experiment(spec)
     table.write_csv(args.out, timing=args.timing)
     mean_final = float(table.final_rel_errs().mean())

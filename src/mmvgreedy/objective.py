@@ -10,8 +10,9 @@ viewed as the mean of m components, one per measurement row:
 
 Stochastic solvers consume this through batch gradients (the mean gradient
 over a set of rows) and support-restricted minimization.  The objective is
-separable across signal columns, which is what the concatenated per-column
-solvers rely on.
+separable across signal columns: column(j) is the single-column problem
+(A, Y[:, j]) that the concatenated per-column solvers run, and the
+per-column kernels are the shared kernels applied to it.
 """
 
 from __future__ import annotations
@@ -108,22 +109,22 @@ class MmvObjective:
         R = A_rows @ X - self.Y[idx]
         return A_rows.T @ R / idx.size
 
-    def column_grad(self, rows, j: int, x) -> np.ndarray:
-        """Gradient of the column-j component restricted objective.
-
-        This is the gradient of the scalar functions the per-column
-        solvers minimize; it equals column j of batch_grad when
-        x = X[:, j].
-        """
-        idx = self._rows(rows)
+    def column(self, j: int) -> "MmvObjective":
+        """The single-column problem (A, Y[:, j]) the per-column solvers run."""
         if not 0 <= j < self.L:
             raise ValueError(f"column {j} out of range [0, {self.L})")
+        return MmvObjective(self.A, self.Y[:, j : j + 1])
+
+    def column_grad(self, rows, j: int, x) -> np.ndarray:
+        """batch_grad of column j's problem at the length-n vector x.
+
+        It equals column j of batch_grad when x = X[:, j].
+        """
+        col = self.column(j)
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
-        A_rows = self.A[idx]
-        r = A_rows @ x[:, None] - self.Y[idx, j][:, None]
-        return (A_rows.T @ r / idx.size).ravel()
+        return col.batch_grad(rows, x[:, None]).ravel()
 
     def restricted_argmin(self, support: RowSupport) -> np.ndarray:
         """Minimize F over matrices supported on the given rows.
@@ -144,24 +145,12 @@ class MmvObjective:
         return B
 
     def restricted_column_argmin(self, support: RowSupport, j: int) -> np.ndarray:
-        """Per-column version of restricted_argmin, returns a length-n vector."""
-        if support.ambient != self.n:
-            raise ValueError(
-                f"support ambient {support.ambient} != signal length {self.n}"
-            )
-        if len(support) == 0:
-            raise ValueError("support must be nonempty")
-        if not 0 <= j < self.L:
-            raise ValueError(f"column {j} out of range [0, {self.L})")
-        idx = support.as_array()
-        b = np.zeros(self.n)
-        b[idx] = least_squares_solve(self.A[:, idx], self.Y[:, j : j + 1]).ravel()
-        return b
+        """restricted_argmin of column j's problem, as a length-n vector."""
+        return self.column(j).restricted_argmin(support).ravel()
 
     def full_grad(self, X) -> np.ndarray:
-        """Exact gradient (1/m) A^T (A X - Y) of F."""
-        X = self._check_iterate(X)
-        return self.A.T @ (self.A @ X - self.Y) / self.m
+        """Exact gradient (1/m) A^T (A X - Y) of F: batch_grad over every row."""
+        return self.batch_grad(np.arange(self.m), X)
 
     def restricted_value(self, X, support: RowSupport) -> float:
         """F(X) for an X known to be supported on the given rows (cheaper)."""

@@ -103,6 +103,7 @@ class SolverConfig:
         for name in ("k", "batch_size", "max_iter"):
             if require_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        require_int(self.seed, "seed")
         if not 0 < self.gamma < math.inf:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not self.tol >= 0:
@@ -281,9 +282,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
     plan = batch_partition(obj.component_count, cfg.batch_size)
     sampler = IndexSampler(_batch_probabilities(cfg, plan.count))
     tracer = _TraceBuilder(obj, cfg)
-    parts = [obj]
-    if per_column:
-        parts = [MmvObjective(obj.A, obj.Y[:, j : j + 1]) for j in range(obj.L)]
+    parts = [obj.column(j) for j in range(obj.L)] if per_column else [obj]
     problems = [
         _Problem(part, RngStream(cfg.seed, (j,)), np.zeros((obj.n, part.L)),
                  RowSupport.empty(obj.n))

@@ -69,28 +69,24 @@ class RowSupport:
         return self._array
 
 
-def _top_k(scores: np.ndarray, k: int, ambient: int) -> RowSupport:
-    if k < 0 or k > ambient:
-        raise ValueError(f"k={k} out of range [0, {ambient}]")
-    if k == 0:
-        return RowSupport.empty(ambient)
-    # stable sort on the negated scores keeps the smaller index on ties
-    order = np.argsort(-scores, kind="stable")
-    return RowSupport(np.sort(order[:k]), ambient)
-
-
 def top_k_indices(w, k: int) -> RowSupport:
     """Indices of the k largest entries of w in absolute value."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("w must be a 1-D vector")
-    return _top_k(np.abs(w), k, w.size)
+    return top_k_rows(w[:, None], k)
 
 
 def top_k_rows(X, k: int) -> RowSupport:
     """Indices of the k rows of X with largest Euclidean norm."""
     norms = row_norms(X)
-    return _top_k(norms, k, norms.size)
+    if k < 0 or k > norms.size:
+        raise ValueError(f"k={k} out of range [0, {norms.size}]")
+    if k == 0:
+        return RowSupport.empty(norms.size)
+    # stable sort on the negated norms keeps the smaller index on ties
+    order = np.argsort(-norms, kind="stable")
+    return RowSupport(np.sort(order[:k]), norms.size)
 
 
 def project_rows(X, support: RowSupport) -> np.ndarray:
@@ -116,4 +112,4 @@ def support_union(a: RowSupport, b: RowSupport) -> RowSupport:
 def row_support(X) -> RowSupport:
     """Indices of the nonzero rows of X; their count is its row sparsity."""
     X = as_matrix(X)
-    return RowSupport(np.flatnonzero(row_norms(X) > 0), X.shape[0])
+    return RowSupport(np.flatnonzero((X != 0).any(axis=1)), X.shape[0])

@@ -8,8 +8,11 @@ Criteria 01-03 assert convergence targets that the single-draw
 (batch_size=1) configurations do not reach at these dimensions; they are
 kept at their stated thresholds and fail honestly rather than being
 loosened.  See the "Known behavior" section of the README for the
-mechanics (marginally stable single-row thresholding steps at gamma=1,
-and underdetermined restricted solves once 2k exceeds m).
+mechanics: a one-row draw's gradient is the rank-one a_i r^T, so the rows
+a single-draw step lets into the support are those of largest |a_ij| in
+the drawn sensing row whatever the residual, and no step size repairs
+that identification; and restricted solves are underdetermined once 2k
+exceeds m.
 """
 
 import json

@@ -14,7 +14,7 @@ from mmvgreedy.bench import (
     run_experiment,
     run_sweep,
 )
-from mmvgreedy.linalg import RngStream
+from mmvgreedy.linalg import RngStream, derive_seed
 from mmvgreedy.solvers import SolverConfig
 from mmvgreedy.sparsity import row_support
 
@@ -295,10 +295,16 @@ def test_spec_rejects_non_integer_counts(name, value):
 
 
 @pytest.mark.parametrize("name, value", [("k", 2.5), ("batch_size", True),
-                                         ("max_iter", 8.0)])
+                                         ("max_iter", 8.0), ("seed", 1.5),
+                                         ("seed", True)])
 def test_solver_config_rejects_non_integer_counts(name, value):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         SolverConfig(**{"k": 3, name: value})
+
+
+def test_solver_config_accepts_any_integer_seed():
+    for seed in (np.int64(7), np.uint64(2**64 - 1), -3, derive_seed(5, 0, 1)):
+        assert SolverConfig(k=3, seed=seed).seed == seed
 
 
 def test_spec_accepts_numpy_integers():

@@ -89,6 +89,22 @@ def test_gen_matches_library_instance(tmp_path):
     np.testing.assert_array_equal(load_jsm(out / "Y.jsm"), Y)
 
 
+def test_run_flag_defaults_are_the_spec_defaults(tmp_path):
+    out = tmp_path / "trace.csv"
+    assert cli.main(["run", "--algo", "mstoiht", "--trials", "2", "--out", str(out)]) == 0
+    table = bench.run_experiment(bench.ExperimentSpec(algo="mstoiht", trials=2))
+    assert out.read_text() == table.to_csv_text()
+
+
+def test_gen_flag_defaults_are_the_spec_defaults(tmp_path):
+    out = tmp_path / "data"
+    assert cli.main(["gen", "--out-dir", str(out)]) == 0
+    A, X_star, Y = bench.generate_instance(bench.ExperimentSpec(), trial=0)
+    np.testing.assert_array_equal(load_jsm(out / "A.jsm"), A)
+    np.testing.assert_array_equal(load_jsm(out / "X.jsm"), X_star)
+    np.testing.assert_array_equal(load_jsm(out / "Y.jsm"), Y)
+
+
 def test_run_usage_errors_exit_1(tmp_path):
     res = run_cli("run", "--algo", "mstoiht", "--trials", 0,
                   "--out", tmp_path / "x.csv")

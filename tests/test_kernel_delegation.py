@@ -1,0 +1,99 @@
+"""The per-column and full-gradient kernels against their own definitions.
+
+`column_grad`, `restricted_column_argmin` and `top_k_indices` delegate to
+the shared kernels (`batch_grad`, `restricted_argmin`, `top_k_rows`) on
+the single-column problem `MmvObjective.column(j)`, and `full_grad` is
+`batch_grad` over every component.  Under the derandomized profile these
+tests draw shapes, supports and batches and require every value to match,
+bit for bit, the stand-alone copies frozen in oracle_solvers.py and the
+textbook gradient `A^T (A X - Y) / m`.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracle_solvers
+from mmvgreedy.linalg import RngStream
+from mmvgreedy.objective import MmvObjective
+from mmvgreedy.sparsity import RowSupport, top_k_indices
+
+
+@st.composite
+def problems(draw):
+    """(objective, stream) with m, n and L drawn, L = 1 among them."""
+    m = draw(st.integers(1, 25))
+    n = draw(st.integers(1, 40))
+    L = draw(st.sampled_from([1, 1, 2, 3, 7]))
+    rng = RngStream(draw(st.integers(0, 2**32 - 1)), (0,))
+    return MmvObjective(rng.standard_normal((m, n)), rng.standard_normal((m, L))), rng
+
+
+def _batch(draw, obj):
+    # from one component up to all m, in any order, repeats allowed
+    size = draw(st.integers(1, obj.m))
+    return draw(st.lists(st.integers(0, obj.m - 1), min_size=size, max_size=size))
+
+
+def _support(draw, obj):
+    # sizes from 1 to n: wide (s >= m) and tall (s < m) blocks alike
+    size = draw(st.integers(1, obj.n))
+    rows = draw(st.permutations(range(obj.n)))[:size]
+    return RowSupport(np.sort(rows), obj.n)
+
+
+@settings(max_examples=150)
+@given(problems(), st.data())
+def test_column_kernels_match_the_frozen_copies(problem, data):
+    obj, rng = problem
+    j = data.draw(st.integers(0, obj.L - 1))
+    rows = _batch(data.draw, obj)
+    x = rng.standard_normal(obj.n)
+    np.testing.assert_array_equal(
+        obj.column_grad(rows, j, x), oracle_solvers.column_grad(obj, rows, j, x)
+    )
+    support = _support(data.draw, obj)
+    np.testing.assert_array_equal(
+        obj.restricted_column_argmin(support, j),
+        oracle_solvers.restricted_column_argmin(obj, support, j),
+    )
+
+
+@settings(max_examples=150)
+@given(problems())
+def test_full_grad_is_the_textbook_gradient(problem):
+    obj, rng = problem
+    X = rng.standard_normal((obj.n, obj.L))
+    np.testing.assert_array_equal(
+        obj.full_grad(X), obj.A.T @ (obj.A @ X - obj.Y) / obj.m
+    )
+
+
+@settings(max_examples=150)
+@given(st.integers(1, 60), st.integers(0, 2**32 - 1), st.data())
+def test_top_k_indices_matches_the_frozen_copy(size, seed, data):
+    w = RngStream(seed, (0,)).standard_normal(size)
+    if data.draw(st.booleans()):  # ties: the lower index must win
+        w = np.round(w)
+    k = data.draw(st.integers(0, size))
+    assert top_k_indices(w, k) == oracle_solvers.top_k_indices(w, k)
+
+
+@settings(max_examples=50)
+@given(problems())
+def test_column_kernels_reject_a_bad_column_or_vector(problem):
+    obj, _ = problem
+    x, support = np.zeros(obj.n), RowSupport([0], obj.n)
+    for j in (-1, obj.L):
+        with pytest.raises(ValueError, match="column"):
+            obj.column(j)
+        with pytest.raises(ValueError, match="column"):
+            obj.column_grad([0], j, x)
+        with pytest.raises(ValueError, match="column"):
+            obj.restricted_column_argmin(support, j)
+    for bad in (np.zeros(obj.n + 1), np.zeros((obj.n, 1))):
+        with pytest.raises(ValueError, match="x must have shape"):
+            obj.column_grad([0], 0, bad)
+    with pytest.raises(ValueError, match="1-D"):
+        top_k_indices(np.zeros((obj.n, 1)), 1)

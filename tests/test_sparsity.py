@@ -120,6 +120,9 @@ def test_row_support_examples():
     X = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 3.0]])
     assert row_support(X).indices == (0, 2)
     assert row_support(np.array([[1e-12, 0.0]])).indices == (0,)
+    # 1e-200 squared underflows to 0.0: a row counts by its entries, not its norm
+    assert row_support(np.array([[1e-200, 0.0]])).indices == (0,)
+    assert row_support(np.array([[0.0], [-5e-324]])).indices == (1,)
 
 
 def test_row_support_of_projection_is_contained():
