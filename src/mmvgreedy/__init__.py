@@ -6,59 +6,16 @@ shared sensing matrix.  It provides joint and per-column variants of
 stochastic iterative hard thresholding and stochastic gradient matching
 pursuit (with mini-batching), the contraction-coefficient formulas that
 govern their convergence, and a reproducible benchmark harness.
+
+The public names are each module's __all__.
 """
 
-from .analysis import (
-    ConvexityConstants,
-    RegimeError,
-    RestrictedPropertyReport,
-    RipEstimate,
-    contraction_cstogradmp,
-    contraction_cstoiht,
-    contraction_mstogradmp,
-    contraction_mstoiht,
-    relative_error,
-    rip_constant,
-    tolerance_mstogradmp,
-    verify_rsc_rss,
-)
-from .bench import (
-    ExperimentSpec,
-    TraceTable,
-    add_noise,
-    gaussian_sensing_matrix,
-    generate_instance,
-    row_sparse_signal,
-    run_experiment,
-    run_sweep,
-)
-from .linalg import (
-    RngStream,
-    draw_index,
-    frobenius_norm,
-    least_squares_solve,
-    row_norms,
-)
-from .matio import load_csv, load_jsm, save_csv, save_jsm
-from .objective import BatchPlan, MmvObjective, batch_partition
-from .solvers import (
-    SOLVERS,
-    DivergenceError,
-    IterationRecord,
-    SolveTrace,
-    SolverConfig,
-    cstogradmp,
-    cstoiht,
-    mstogradmp,
-    mstoiht,
-)
-from .sparsity import (
-    RowSupport,
-    project_rows,
-    row_support,
-    support_union,
-    top_k_indices,
-    top_k_rows,
-)
+from .analysis import *
+from .bench import *
+from .linalg import *
+from .matio import *
+from .objective import *
+from .solvers import *
+from .sparsity import *
 
 __version__ = "0.1.0"

@@ -86,13 +86,9 @@ def _sqrt_or_regime(value: float, what: str) -> float:
     return math.sqrt(value)
 
 
-def contraction_mstoiht(c: ConvexityConstants, gamma: float = 1.0, eta: float = 1.0) -> float:
-    """Per-iteration contraction coefficient of the joint thresholding solver.
-
-    2*sqrt(1 - gamma*(2 - gamma*alpha)*rho_minus)
-      + sqrt((eta^2 - 1)*(1 + gamma^2*alpha*rho_plus_bar - 2*gamma*rho_minus));
-    at eta = gamma = 1 this reduces to 2*sqrt(1 - 2*rho_minus + alpha*rho_minus).
-    """
+def _iht_radicands(c: ConvexityConstants, gamma: float, eta: float):
+    """The radicands (first, second) of contraction_mstoiht, after its
+    gamma and eta checks."""
     gamma = float(gamma)
     eta = _require_eta(eta)
     if not gamma > 0:
@@ -101,15 +97,21 @@ def contraction_mstoiht(c: ConvexityConstants, gamma: float = 1.0, eta: float = 
     second = (eta**2 - 1.0) * (
         1.0 + gamma**2 * c.alpha * c.rho_plus_bar - 2.0 * gamma * c.rho_minus
     )
+    return first, second
+
+
+def contraction_mstoiht(c: ConvexityConstants, gamma: float = 1.0, eta: float = 1.0) -> float:
+    """Per-iteration contraction coefficient of the joint thresholding solver.
+
+    2*sqrt(first) + sqrt(second) in the two radicands
+    first = 1 - gamma*(2 - gamma*alpha)*rho_minus and
+    second = (eta^2 - 1)*(1 + gamma^2*alpha*rho_plus_bar - 2*gamma*rho_minus);
+    at eta = gamma = 1 this reduces to 2*sqrt(1 - 2*rho_minus + alpha*rho_minus).
+    """
+    first, second = _iht_radicands(c, gamma, eta)
     return 2.0 * _sqrt_or_regime(first, "first radicand") + _sqrt_or_regime(
         second, "second radicand"
     )
-
-
-def _cstoiht_kappa_j(c: ConvexityConstants, gamma: float, eta: float) -> float:
-    return 8.0 * (1.0 - (2.0 * gamma - gamma**2 * c.alpha) * c.rho_minus) + 4.0 * (
-        eta**2 - 1.0
-    ) * (1.0 + gamma**2 * c.alpha * c.rho_plus_bar - 2.0 * gamma * c.rho_minus)
 
 
 def contraction_cstoiht(per_column, gamma: float = 1.0, eta: float = 1.0):
@@ -117,17 +119,16 @@ def contraction_cstoiht(per_column, gamma: float = 1.0, eta: float = 1.0):
 
     Takes one ConvexityConstants per signal column and returns
     (kappa_hat, kappa_j array) where kappa_hat = sqrt(max_j kappa_j) and
-    kappa_j = 8*(1 - (2*gamma - gamma^2*alpha_j)*rho_minus_j)
-              + 4*(eta^2 - 1)*(1 + gamma^2*alpha_j*rho_plus_bar_j - 2*gamma*rho_minus_j).
+    kappa_j = 8*first_j + 4*second_j in the radicands of contraction_mstoiht
+    for column j, so kappa_hat = sqrt(2)*kappa at eta = 1.
     """
-    gamma = float(gamma)
-    eta = _require_eta(eta)
-    if not gamma > 0:
-        raise RegimeError("gamma must be positive")
     cols = list(per_column)
     if not cols:
         raise ValueError("need at least one column's constants")
-    kappa_j = np.array([_cstoiht_kappa_j(c, gamma, eta) for c in cols])
+    kappa_j = np.array([
+        8.0 * first + 4.0 * second
+        for first, second in (_iht_radicands(c, gamma, eta) for c in cols)
+    ])
     kappa_hat = _sqrt_or_regime(float(kappa_j.max()), "max per-column coefficient")
     return kappa_hat, kappa_j
 
@@ -263,12 +264,6 @@ class RipEstimate:
     supports_checked: int
 
 
-def _support_deviation(A, support) -> float:
-    G = A[:, support].T @ A[:, support]
-    w = np.linalg.eigvalsh(G)
-    return max(float(w[-1]) - 1.0, 1.0 - float(w[0]))
-
-
 def rip_constant(
     A, k: int, mode: str = "exhaustive", samples: int = 1000,
     rng: RngStream | None = None,
@@ -292,21 +287,26 @@ def rip_constant(
                 f"(cap {_EXHAUSTIVE_SUPPORTS_MAX}); "
                 "use sampled mode"
             )
-        delta = 0.0
-        for support in combinations(range(n), k):
-            delta = max(delta, _support_deviation(A, list(support)))
-        return RipEstimate(delta=delta, k=k, exhaustive=True, supports_checked=total)
-    if mode == "sampled":
+        supports = map(list, combinations(range(n), k))
+    elif mode == "sampled":
         if samples < 1:
             raise ValueError("samples must be >= 1")
         if rng is None:
             rng = RngStream(0, (0,))
-        delta = 0.0
-        for _ in range(samples):
-            support = np.sort(rng.choice_without_replacement(n, k))
-            delta = max(delta, _support_deviation(A, support))
-        return RipEstimate(delta=delta, k=k, exhaustive=False, supports_checked=samples)
-    raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
+        total = samples
+        supports = (
+            np.sort(rng.choice_without_replacement(n, k)) for _ in range(samples)
+        )
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected 'exhaustive' or 'sampled'")
+    delta = 0.0
+    for support in supports:
+        G = A[:, support].T @ A[:, support]
+        w = np.linalg.eigvalsh(G)
+        delta = max(delta, float(w[-1]) - 1.0, 1.0 - float(w[0]))
+    return RipEstimate(
+        delta=delta, k=k, exhaustive=mode == "exhaustive", supports_checked=total
+    )
 
 
 @dataclass
@@ -340,6 +340,13 @@ def verify_rsc_rss(
     checked against rho_minus = (1 - delta)/(2m) and every sampled
     component against rho_plus = 1 + delta, on pairs of iterates with a
     common random support of size k.  Violations are reported, not raised.
+
+    The convexity gap of F is exactly (1/2m)*||A d||_F^2 for d = X' - X, so
+    gap >= rho_minus/2 * ||d||_F^2 holds with the tight rho_minus =
+    (1 - delta)/m, twice the value certified here.  With either value,
+    contraction_mstoiht at gamma = eta = 1 exceeds 2*sqrt(1 - 2/m) >= 1 for
+    every m >= 3, and with the value certified here it exceeds sqrt(2): the
+    thresholding bound is vacuous at this objective scale.
     """
     if pairs < 1:
         raise ValueError("pairs must be >= 1")

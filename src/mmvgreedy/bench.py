@@ -33,7 +33,6 @@ from .solvers import SOLVERS, DivergenceError, SolverConfig
 
 __all__ = [
     "ExperimentSpec",
-    "TraceRow",
     "TraceTable",
     "gaussian_sensing_matrix",
     "row_sparse_signal",
@@ -41,8 +40,6 @@ __all__ = [
     "generate_instance",
     "run_experiment",
     "run_sweep",
-    "sweep_specs",
-    "SWEEP_FIELDS",
 ]
 
 CSV_HEADER = "trial,algo,iter,time_s,rel_err,objective"
@@ -137,8 +134,7 @@ def generate_instance(spec: ExperimentSpec, trial: int):
     A = gaussian_sensing_matrix(spec.m, spec.n, rng)
     X_star = row_sparse_signal(spec.n, spec.L, spec.k, rng)
     Y = A @ X_star
-    if spec.noise_sigma > 0:
-        Y = add_noise(Y, spec.noise_sigma, rng)
+    Y = add_noise(Y, spec.noise_sigma, rng)
     return A, X_star, Y
 
 

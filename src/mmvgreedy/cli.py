@@ -13,9 +13,12 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
+
+from numpy.linalg import LinAlgError
 
 from . import bench, matio
 from .analysis import (
@@ -33,6 +36,24 @@ from .solvers import SOLVERS, DivergenceError
 
 class UsageError(Exception):
     pass
+
+
+_BOUNDS = {
+    "mstoiht": contraction_mstoiht,
+    "cstoiht": contraction_cstoiht,
+    "mstogradmp": contraction_mstogradmp,
+    "cstogradmp": contraction_cstogradmp,
+}
+
+# analyze kappa's flags that set a keyword argument of the family's bound
+_BOUND_FLAGS = (
+    ("--gamma", "gamma", float),
+    ("--eta", "eta", float),
+    ("--eta1", "eta1", float),
+    ("--eta2", "eta2", float),
+    ("--p-max", "p_max", float),
+    ("--components", "M", int),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -86,25 +107,27 @@ def _build_parser() -> _Parser:
     analyze = sub.add_parser("analyze", help="theory and matrix diagnostics")
     asub = analyze.add_subparsers(dest="analysis", required=True)
 
-    kappa = asub.add_parser("kappa", help="contraction coefficients")
-    kappa.add_argument("--family", choices=sorted(SOLVERS), required=True)
+    # the analyze flags declare no defaults: a flag not given takes the
+    # default of the analysis function it is passed to
+    kappa = asub.add_parser(
+        "kappa", argument_default=argparse.SUPPRESS, help="contraction coefficients"
+    )
+    kappa.add_argument("--family", choices=sorted(_BOUNDS), required=True)
     kappa.add_argument("--rho-minus", type=float, required=True)
-    kappa.add_argument("--rho-plus", type=float, default=None)
-    kappa.add_argument("--rho-plus-bar", type=float, default=None)
+    kappa.add_argument("--rho-plus", type=float, help="defaults to --rho-minus")
+    kappa.add_argument("--rho-plus-bar", type=float)
     kappa.add_argument("--alpha", type=float, required=True)
-    kappa.add_argument("--gamma", type=float, default=1.0)
-    kappa.add_argument("--eta", type=float, default=1.0)
-    kappa.add_argument("--eta1", type=float, default=1.0)
-    kappa.add_argument("--eta2", type=float, default=1.0)
-    kappa.add_argument("--p-max", type=float, default=None)
-    kappa.add_argument("--components", type=int, default=1, help="component count M")
+    for flag, keyword, kind in _BOUND_FLAGS:
+        kappa.add_argument(flag, type=kind, dest=keyword)
 
-    rip = asub.add_parser("rip", help="restricted isometry constant")
+    rip = asub.add_parser(
+        "rip", argument_default=argparse.SUPPRESS, help="restricted isometry constant"
+    )
     rip.add_argument("--matrix", required=True, help="JSM1 file")
     rip.add_argument("--k", type=int, required=True)
-    rip.add_argument("--mode", choices=("exhaustive", "sampled"), default="exhaustive")
-    rip.add_argument("--samples", type=int, default=1000)
-    rip.add_argument("--seed", type=int, default=0)
+    rip.add_argument("--mode", choices=("exhaustive", "sampled"))
+    rip.add_argument("--samples", type=int)
+    rip.add_argument("--seed", type=int)
 
     return parser
 
@@ -172,54 +195,60 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_kappa(args) -> int:
-    rho_plus = args.rho_plus if args.rho_plus is not None else args.rho_minus
-    constants = ConvexityConstants(
-        rho_minus=args.rho_minus,
-        rho_plus=rho_plus,
-        alpha=args.alpha,
-        rho_plus_bar=args.rho_plus_bar,
-    )
-    if args.family == "mstoiht":
-        kappa = contraction_mstoiht(constants, gamma=args.gamma, eta=args.eta)
-        print(f"kappa {kappa!r}")
-    elif args.family == "cstoiht":
-        kappa_hat, kappa_j = contraction_cstoiht(
-            [constants], gamma=args.gamma, eta=args.eta
-        )
-        print(f"kappa {kappa_hat!r}")
-        print(f"kappa_per_column {float(kappa_j[0])!r}")
-    elif args.family == "mstogradmp":
-        kappa = contraction_mstogradmp(
-            constants, eta1=args.eta1, eta2=args.eta2,
-            p_max=args.p_max, M=args.components,
-        )
-        print(f"kappa {kappa!r}")
+    bound = _BOUNDS[args.family]
+    takes = inspect.signature(bound).parameters
+    options = {}
+    for flag, keyword, _ in _BOUND_FLAGS:
+        if hasattr(args, keyword):
+            if keyword not in takes:
+                raise UsageError(f"{flag} does not apply to --family {args.family}")
+            options[keyword] = getattr(args, keyword)
+    fields = {f.name for f in dataclasses.fields(ConvexityConstants)}
+    given = {name: value for name, value in vars(args).items() if name in fields}
+    constants = ConvexityConstants(**{"rho_plus": args.rho_minus, **given})
+    result = bound([constants] if args.family == "cstoiht" else constants, **options)
+    if args.family == "cstoiht":
+        kappa_hat, kappa_j = result
+        lines = {"kappa": kappa_hat, "kappa_per_column": float(kappa_j[0])}
+    elif args.family == "cstogradmp":
+        lines = {"kappa": result.kappa, "beta1": result.beta1,
+                 "beta2": result.beta2, "kappa_per_column": result.kappa_j}
     else:
-        result = contraction_cstogradmp(
-            constants, eta1=args.eta1, eta2=args.eta2,
-            p_max=args.p_max, M=args.components,
-        )
-        print(f"kappa {result.kappa!r}")
-        print(f"beta1 {result.beta1!r}")
-        print(f"beta2 {result.beta2!r}")
-        print(f"kappa_per_column {result.kappa_j!r}")
+        lines = {"kappa": result}
+    for name, value in lines.items():
+        print(f"{name} {value!r}")
     return 0
 
 
 def _cmd_rip(args) -> int:
+    # only sampled mode reads these
+    for flag, name in (("--samples", "samples"), ("--seed", "seed")):
+        if hasattr(args, name) and getattr(args, "mode", None) != "sampled":
+            raise UsageError(f"{flag} needs --mode sampled")
+    options = {name: value for name, value in vars(args).items()
+               if name in ("mode", "samples")}
+    if hasattr(args, "seed"):
+        options["rng"] = RngStream(args.seed, (0,))
     try:
         A = matio.load_jsm(args.matrix)
     except OSError as exc:
         raise UsageError(f"cannot read matrix {args.matrix}: {exc}") from exc
-    estimate = rip_constant(
-        A, args.k, mode=args.mode,
-        samples=args.samples, rng=RngStream(args.seed, (0,)),
-    )
+    estimate = rip_constant(A, args.k, **options)
     print(f"delta {estimate.delta!r}")
-    print(f"mode {args.mode}")
+    print(f"mode {'exhaustive' if estimate.exhaustive else 'sampled'}")
     print(f"exact {str(estimate.exhaustive).lower()}")
     print(f"supports_checked {estimate.supports_checked}")
     return 0
+
+
+def _cmd_analyze(args) -> int:
+    """kappa or rip: a bad value is a usage error, a regime or LinAlg error is not."""
+    try:
+        return _cmd_kappa(args) if args.analysis == "kappa" else _cmd_rip(args)
+    except (RegimeError, LinAlgError):
+        raise
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def main(argv=None) -> int:
@@ -233,9 +262,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             return _cmd_sweep(args)
         if args.command == "analyze":
-            if args.analysis == "kappa":
-                return _cmd_kappa(args)
-            return _cmd_rip(args)
+            return _cmd_analyze(args)
         raise UsageError(f"unknown command {args.command!r}")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

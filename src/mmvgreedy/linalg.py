@@ -23,15 +23,10 @@ from scipy.linalg import blas, lapack
 
 __all__ = [
     "RngStream",
-    "as_matrix",
-    "require_finite",
-    "require_int",
     "frobenius_norm",
     "row_norms",
     "least_squares_solve",
-    "IndexSampler",
     "draw_index",
-    "derive_seed",
 ]
 
 _U64 = (1 << 64) - 1

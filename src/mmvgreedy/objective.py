@@ -155,9 +155,6 @@ class MmvObjective:
     def restricted_value(self, X, support: RowSupport) -> float:
         """F(X) for an X known to be supported on the given rows (cheaper)."""
         X = self._check_iterate(X)
-        if len(support) == 0:
-            R = self.Y
-        else:
-            idx = support.as_array()
-            R = self.Y - self.A[:, idx] @ X[idx]
+        idx = support.as_array()
+        R = self.Y - self.A[:, idx] @ X[idx]
         return 0.5 / self.m * float(np.vdot(R, R))

@@ -8,8 +8,6 @@ throughout, which makes these projections exact best approximations.
 
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
 from .linalg import as_matrix, row_norms
@@ -28,8 +26,7 @@ class RowSupport:
     """A sorted, duplicate-free set of row indices inside [0, ambient).
 
     indices may be any integer sequence or array.  It is stored as a
-    read-only intp array, returned by as_array(); the indices attribute
-    gives the same set as a tuple of Python ints, built on first access.
+    read-only intp array, returned by as_array().
     """
 
     def __init__(self, indices, ambient: int):
@@ -45,8 +42,6 @@ class RowSupport:
                 f"indices must lie in [0, {self.ambient}), got {arr[0]}..{arr[-1]}"
             )
 
-    indices = functools.cached_property(lambda self: tuple(self._array.tolist()))
-
     @classmethod
     def empty(cls, ambient: int) -> "RowSupport":
         return cls((), ambient)
@@ -60,10 +55,10 @@ class RowSupport:
         )
 
     def __hash__(self):
-        return hash((self.indices, self.ambient))
+        return hash((self._array.tobytes(), self.ambient))
 
     def __repr__(self):
-        return f"RowSupport(indices={self.indices}, ambient={self.ambient})"
+        return f"RowSupport(indices={self._array.tolist()}, ambient={self.ambient})"
 
     def as_array(self) -> np.ndarray:
         return self._array
@@ -82,8 +77,6 @@ def top_k_rows(X, k: int) -> RowSupport:
     norms = row_norms(X)
     if k < 0 or k > norms.size:
         raise ValueError(f"k={k} out of range [0, {norms.size}]")
-    if k == 0:
-        return RowSupport.empty(norms.size)
     # stable sort on the negated norms keeps the smaller index on ties
     order = np.argsort(-norms, kind="stable")
     return RowSupport(np.sort(order[:k]), norms.size)
@@ -97,9 +90,8 @@ def project_rows(X, support: RowSupport) -> np.ndarray:
             f"support ambient {support.ambient} != matrix rows {X.shape[0]}"
         )
     out = np.zeros(X.shape)
-    if len(support):
-        idx = support.as_array()
-        out[idx] = X[idx]
+    idx = support.as_array()
+    out[idx] = X[idx]
     return out
 
 

@@ -288,3 +288,64 @@ def test_analyze_rip_sampled_mode(tmp_path):
     out = dict(line.split() for line in res.stdout.splitlines())
     assert out["exact"] == "false"
     assert out["supports_checked"] == "50"
+
+
+KAPPA_CONSTANTS = {
+    "mstoiht": ["--rho-minus", "0.3", "--alpha", "0.5"],
+    "cstoiht": ["--rho-minus", "0.05", "--alpha", "0.06"],
+    "mstogradmp": ["--rho-minus", "0.4", "--rho-plus", "0.5", "--alpha", "0.4"],
+    "cstogradmp": ["--rho-minus", "0.4", "--rho-plus", "0.5", "--alpha", "0.4"],
+}
+
+
+@pytest.mark.parametrize("family", sorted(KAPPA_CONSTANTS))
+def test_analyze_kappa_flags_left_out_take_the_bound_defaults(capsys, family):
+    argv = ["analyze", "kappa", "--family", family, *KAPPA_CONSTANTS[family]]
+    explicit = (["--gamma", "1", "--eta", "1"] if family.endswith("iht")
+                else ["--eta1", "1", "--eta2", "1", "--components", "1"])
+    assert cli.main(argv) == 0
+    bare = capsys.readouterr().out
+    assert cli.main([*argv, *explicit]) == 0
+    assert capsys.readouterr().out == bare
+
+
+ANALYZE_USAGE_ERRORS = {
+    "gamma with mstogradmp": (
+        ["kappa", "--family", "mstogradmp", *KAPPA_CONSTANTS["mstogradmp"],
+         "--gamma", "0.1"], "--gamma"),
+    "eta1 with mstoiht": (
+        ["kappa", "--family", "mstoiht", *KAPPA_CONSTANTS["mstoiht"],
+         "--eta1", "2"], "--eta1"),
+    "samples without sampled mode": (
+        ["rip", "--matrix", "{matrix}", "--k", "2", "--samples", "50"], "--samples"),
+    "seed without sampled mode": (
+        ["rip", "--matrix", "{matrix}", "--k", "2", "--mode", "exhaustive",
+         "--seed", "3"], "--seed"),
+    "rho-minus 0": (
+        ["kappa", "--family", "mstoiht", "--rho-minus", "0", "--alpha", "0.5"],
+        "rho_minus"),
+    "components 0": (
+        ["kappa", "--family", "mstogradmp", "--rho-minus", "0.4", "--alpha", "0.4",
+         "--components", "0"], "M must be"),
+    "p-max below 1/M": (
+        ["kappa", "--family", "cstogradmp", "--rho-minus", "0.4", "--alpha", "0.4",
+         "--components", "4", "--p-max", "0.1"], "p_max"),
+    "rip k 0": (["rip", "--matrix", "{matrix}", "--k", "0"], "k=0"),
+    "rip samples 0": (
+        ["rip", "--matrix", "{matrix}", "--k", "2", "--mode", "sampled",
+         "--samples", "0"], "samples"),
+    "malformed matrix file": (["rip", "--matrix", "{bad}", "--k", "2"], "JSM1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_USAGE_ERRORS))
+def test_analyze_usage_errors_exit_1_before_any_output(tmp_path, capsys, case):
+    matrix, bad = tmp_path / "A.jsm", tmp_path / "bad.jsm"
+    save_jsm(matrix, np.random.default_rng(2).standard_normal((5, 6)))
+    bad.write_bytes(b"JSM1\x00")
+    argv, named = ANALYZE_USAGE_ERRORS[case]
+    argv = [arg.format(matrix=matrix, bad=bad) for arg in argv]
+    assert cli.main(["analyze", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and named in err
