@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import IndexSampler, RngStream, as_matrix, row_norms
+from .linalg import IndexSampler, RngStream, as_matrix
 from .objective import MmvObjective
 
 __all__ = [
@@ -228,19 +228,17 @@ def tolerance_mstogradmp(
     The inner maximum over row supports of size at most 4k is computed
     exactly as the square root of the sum of the 4k largest squared row
     norms of each component gradient at X_star, maximized over components.
+    Component i's gradient a_i^T r_i (r_i = a_i X_star - y_i) is rank one,
+    so that sum is ||r_i||^2 times the sum of the 4k largest a_ij^2.
     Vanishes on noise-free consistent instances.
     """
     eta2 = _require_eta(eta2, "eta2")
     p_min, p_max, M = _resolve_probability_range(p_min, p_max, obj.component_count)
-    X_star = as_matrix(X_star, "X_star")
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = min(4 * k, obj.n)
-    inner_max = 0.0
-    for i in range(M):
-        G = obj.batch_grad([i], X_star)
-        sq = np.sort(row_norms(G) ** 2)[::-1]
-        inner_max = max(inner_max, math.sqrt(float(sq[:order].sum())))
+    R = obj.A @ obj._check_iterate(X_star) - obj.Y
+    top = np.sort(obj.A**2, axis=1)[:, -min(4 * k, obj.n):].sum(axis=1)
+    inner_max = math.sqrt(float(((R * R).sum(axis=1) * top).max()))
     factor = (1.0 + eta2) / (c.rho_minus * (M * p_min))
     bracket = 2.0 * (M * p_max) * math.sqrt(c.alpha / c.rho_minus) + 3.0
     return factor * bracket * inner_max

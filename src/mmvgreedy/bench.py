@@ -257,15 +257,27 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> TraceTable:
     )
 
 
+def _sweep_csv_name(param: str, spec: ExperimentSpec) -> str:
+    return f"{param}_{getattr(spec, SWEEP_FIELDS[param]):g}.csv"
+
+
 def sweep_specs(base: ExperimentSpec, param: str, values) -> list:
-    """One validated spec per swept value, in order; raises ValueError early."""
+    """One validated spec per swept value, in order; raises ValueError early.
+
+    Two values that name the same CSV file are rejected too: a repeat such
+    as 0.1 and 0.10, or values equal to the six digits a name keeps.
+    """
     if param not in SWEEP_FIELDS:
         raise ValueError(
             f"unknown sweep parameter {param!r}, expected one of {sorted(SWEEP_FIELDS)}"
         )
     field_name = SWEEP_FIELDS[param]
     cast = float if field_name == "noise_sigma" else int
-    return [dataclasses.replace(base, **{field_name: cast(v)}) for v in values]
+    specs = [dataclasses.replace(base, **{field_name: cast(v)}) for v in values]
+    names = [_sweep_csv_name(param, spec) for spec in specs]
+    if len(set(names)) < len(names):
+        raise ValueError(f"two values would write the same file: {names}")
+    return specs
 
 
 def run_sweep(
@@ -280,7 +292,7 @@ def run_sweep(
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
     for spec in specs:
-        path = out_dir / f"{param}_{getattr(spec, SWEEP_FIELDS[param]):g}.csv"
+        path = out_dir / _sweep_csv_name(param, spec)
         run_experiment(spec).write_csv(path, timing=timing)
         written.append(path)
     return written

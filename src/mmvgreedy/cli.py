@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 numeric/regime error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import inspect
 import json
@@ -36,6 +37,22 @@ from .solvers import SOLVERS, DivergenceError
 
 class UsageError(Exception):
     pass
+
+
+@contextlib.contextmanager
+def _input(context=""):
+    """Reading and checking a command's input, output locations included.
+
+    A ValueError, TypeError or OSError raised here is a usage error (exit 1).
+    RegimeError and LinAlgError are ValueErrors of a numeric regime, not of
+    a bad input, and keep exit 2.
+    """
+    try:
+        yield
+    except (RegimeError, LinAlgError):
+        raise
+    except (ValueError, TypeError, OSError) as exc:
+        raise UsageError(f"{context}{exc}") from exc
 
 
 _BOUNDS = {
@@ -133,19 +150,18 @@ def _build_parser() -> _Parser:
 
 
 def _spec(args) -> bench.ExperimentSpec:
-    """The spec of the flags given; a bad one is a usage error."""
+    """The spec of the flags given."""
     fields = dataclasses.fields(bench.ExperimentSpec)
-    given = {f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)}
-    try:
-        return bench.ExperimentSpec(**given)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    return bench.ExperimentSpec(
+        **{f.name: getattr(args, f.name) for f in fields if hasattr(args, f.name)}
+    )
 
 
 def _cmd_gen(args) -> int:
-    spec = _spec(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _input():
+        spec = _spec(args)
+        out_dir.mkdir(parents=True, exist_ok=True)
     A, X_star, Y = bench.generate_instance(spec, trial=0)
     matio.save_jsm(out_dir / "A.jsm", A)
     matio.save_jsm(out_dir / "X.jsm", X_star)
@@ -155,9 +171,12 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    spec = _spec(args)
-    table = bench.run_experiment(spec)
-    table.write_csv(args.out, timing=args.timing)
+    with _input():
+        spec = _spec(args)
+        out = open(args.out, "w", newline="\n")
+    with out:
+        table = bench.run_experiment(spec)
+        out.write(table.to_csv_text(args.timing))
     mean_final = float(table.final_rel_errs().mean())
     print(f"wrote {args.out} trials={spec.trials} mean_final_rel_err={mean_final!r}")
     for trial, msg in sorted(table.divergences.items()):
@@ -165,35 +184,25 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _load_base_config(path) -> bench.ExperimentSpec:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError(f"config {path} must be a flat JSON object")
-    try:
-        return bench.ExperimentSpec(**raw)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad config {path}: {exc}") from exc
-
-
 def _cmd_sweep(args) -> int:
-    base = _load_base_config(args.base_config)
+    with _input(f"config {args.base_config}: "), open(args.base_config) as fh:
+        base = bench.ExperimentSpec(**json.load(fh))
     values = [v for v in (s.strip() for s in args.values.split(",")) if v]
     if not values:
         raise UsageError("--values must list at least one value")
-    try:
+    with _input("bad sweep value: "):
         bench.sweep_specs(base, args.param, values)
-    except ValueError as exc:
-        raise UsageError(f"bad sweep value: {exc}") from exc
+    with _input():
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
     written = bench.run_sweep(base, args.param, values, args.out_dir, args.timing)
     for path in written:
         print(f"wrote {path}")
     return 0
 
 
+# an analyze call checks its values in the one library call it makes, and
+# prints only after that call returns, so the whole command is input
+@_input()
 def _cmd_kappa(args) -> int:
     bound = _BOUNDS[args.family]
     takes = inspect.signature(bound).parameters
@@ -220,6 +229,7 @@ def _cmd_kappa(args) -> int:
     return 0
 
 
+@_input()
 def _cmd_rip(args) -> int:
     # only sampled mode reads these
     for flag, name in (("--samples", "samples"), ("--seed", "seed")):
@@ -229,11 +239,7 @@ def _cmd_rip(args) -> int:
                if name in ("mode", "samples")}
     if hasattr(args, "seed"):
         options["rng"] = RngStream(args.seed, (0,))
-    try:
-        A = matio.load_jsm(args.matrix)
-    except OSError as exc:
-        raise UsageError(f"cannot read matrix {args.matrix}: {exc}") from exc
-    estimate = rip_constant(A, args.k, **options)
+    estimate = rip_constant(matio.load_jsm(args.matrix), args.k, **options)
     print(f"delta {estimate.delta!r}")
     print(f"mode {'exhaustive' if estimate.exhaustive else 'sampled'}")
     print(f"exact {str(estimate.exhaustive).lower()}")
@@ -241,35 +247,17 @@ def _cmd_rip(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
-    """kappa or rip: a bad value is a usage error, a regime or LinAlg error is not."""
-    try:
-        return _cmd_kappa(args) if args.analysis == "kappa" else _cmd_rip(args)
-    except (RegimeError, LinAlgError):
-        raise
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+_COMMANDS = {"gen": _cmd_gen, "run": _cmd_run, "sweep": _cmd_sweep,
+             "kappa": _cmd_kappa, "rip": _cmd_rip}
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[getattr(args, "analysis", args.command)](args)
+    except (UsageError, DivergenceError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (RegimeError, DivergenceError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, UsageError) else 2
 
 
 if __name__ == "__main__":

@@ -82,6 +82,8 @@ def test_mstoiht_regime_errors():
         contraction_mstoiht(consts(0.9, 0.1, rho_plus=1.0))
     with pytest.raises(RegimeError):
         contraction_mstoiht(consts(0.3, 0.5), eta=0.5)
+    with pytest.raises(RegimeError, match="gamma"):
+        contraction_mstoiht(consts(0.3, 0.5), gamma=0.0)
 
 
 def test_cstoiht_substitution():
@@ -219,6 +221,8 @@ def test_tolerance_single_nonzero_row_gradient():
     got = tolerance_mstogradmp(obj, X, k=1, c=c)
     # sigma = (1+1)/1 * (2*sqrt(1)+3) * ||row|| = 10 * ||(−1, 2)||
     assert got == pytest.approx(10 * math.sqrt(5.0), rel=1e-12)
+    with pytest.raises(ValueError, match="k must be"):
+        tolerance_mstogradmp(obj, X, k=0, c=c)
 
 
 def test_tolerance_matches_exhaustive_enumeration():
@@ -285,6 +289,8 @@ def test_rip_k_range():
         rip_constant(np.eye(3), 0)
     with pytest.raises(ValueError):
         rip_constant(np.eye(3), 4)
+    with pytest.raises(ValueError, match="unknown mode"):
+        rip_constant(np.eye(3), 1, mode="greedy")
 
 
 def test_quadratic_convexity_gap_identity():
@@ -307,6 +313,8 @@ def test_verify_rsc_rss_no_violations():
     obj = MmvObjective(A, rng.standard_normal((8, 3)))
     report = verify_rsc_rss(obj, k=3, pairs=300, rng=RngStream(46, (0,)))
     assert report.ok
+    with pytest.raises(ValueError, match="pairs"):
+        verify_rsc_rss(obj, k=3, pairs=0)
     assert report.convexity_violations == 0
     assert report.smoothness_violations == 0
     # the certified constants must not beat the observed extremes
@@ -332,3 +340,5 @@ def test_relative_error_examples():
     assert relative_error(2 * X, X) == pytest.approx(1.0, rel=1e-15)
     with pytest.raises(ValueError):
         relative_error(X, np.zeros_like(X))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        relative_error(X, X[:, :2])

@@ -37,6 +37,9 @@ def test_sensing_matrix_deterministic():
     A = gaussian_sensing_matrix(10, 20, RngStream(7, (3,)))
     B = gaussian_sensing_matrix(10, 20, RngStream(7, (3,)))
     np.testing.assert_array_equal(A, B)
+    for m, n in ((0, 20), (10, 0)):
+        with pytest.raises(ValueError):
+            gaussian_sensing_matrix(m, n, RngStream(7, (3,)))
 
 
 def test_sensing_matrix_entry_statistics():
@@ -60,6 +63,9 @@ def test_signal_row_sparsity_is_exact():
     for k in (1, 4, 9):
         X = row_sparse_signal(12, 5, k, RngStream(3, (k,)))
         assert len(row_support(X)) == k
+    for L, k in ((5, 0), (5, 13), (0, 4)):
+        with pytest.raises(ValueError):
+            row_sparse_signal(12, L, k, RngStream(3, (0,)))
 
 
 def test_signal_support_is_uniform():
@@ -74,6 +80,8 @@ def test_signal_support_is_uniform():
 def test_add_noise_zero_sigma_is_identity():
     Y = RngStream(5, (0,)).standard_normal((4, 3))
     np.testing.assert_array_equal(add_noise(Y, 0.0, RngStream(6, (0,))), Y)
+    with pytest.raises(ValueError):
+        add_noise(Y, -0.1, RngStream(6, (0,)))
 
 
 def test_add_noise_variance():
@@ -123,6 +131,8 @@ def test_csv_wall_timing_differs_but_default_is_stable():
     # time column is identically zero in the default mode
     for line in off.splitlines()[1:]:
         assert line.split(",")[3] == "0.0"
+    with pytest.raises(ValueError, match="timing"):
+        table.to_csv_text(timing="cpu")
 
 
 def test_first_trials_invariant_under_trial_count():
@@ -279,6 +289,10 @@ def test_spec_rejects_batches_larger_than_m_and_matching_past_half_n():
 def test_sweep_validates_every_value_before_the_first_run(tmp_path):
     with pytest.raises(ValueError, match="batch_size"):
         run_sweep(small_spec(), "batch", [1, 21], tmp_path)
+    # values that would share one CSV file: a repeat, or equal to six digits
+    for values in (["0.1", "0.10"], [0.1234567, 0.1234568]):
+        with pytest.raises(ValueError, match="same file"):
+            run_sweep(small_spec(), "noise", values, tmp_path)
     assert not list(tmp_path.iterdir())
 
 

@@ -150,7 +150,8 @@ def test_run_rejects_bad_config_before_any_work(tmp_path, capsys, no_work, bad):
 @pytest.mark.parametrize(
     "algo, param, values",
     [("mstoiht", "batch", "1,21"), ("mstogradmp", "sparsity", "3,16"),
-     ("cstogradmp", "sparsity", "3,16"), ("mstoiht", "noise", "0.02,nan")],
+     ("cstogradmp", "sparsity", "3,16"), ("mstoiht", "noise", "0.02,nan"),
+     ("mstoiht", "noise", "0.1234567,0.1234568")],
 )
 def test_sweep_rejects_bad_value_before_any_work(
     tmp_path, capsys, no_work, algo, param, values
@@ -195,6 +196,31 @@ def test_sweep_rejects_non_integer_config_before_any_output(
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"{field} must be an integer" in err
     assert not out.exists()
+
+
+UNWRITABLE_OUTPUTS = {
+    "run into a missing directory": ["run", "--algo", "mstoiht",
+                                     "--out", "{tmp}/missing/x.csv"],
+    "run into a directory": ["run", "--algo", "mstoiht", "--out", "{tmp}"],
+    "gen into a file": ["gen", "--out-dir", "{tmp}/taken"],
+    "sweep into a file": ["sweep", "--param", "noise", "--values", "0.01",
+                          "--base-config", "{tmp}/cfg.json", "--out-dir", "{tmp}/taken"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNWRITABLE_OUTPUTS))
+def test_unwritable_output_is_a_usage_error_before_any_work(
+    tmp_path, capsys, no_work, case
+):
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "cfg.json").write_text(json.dumps(dict(n=30, m=20, L=3, k=3)))
+    before = sorted(tmp_path.rglob("*"))
+    argv = [arg.format(tmp=tmp_path) for arg in UNWRITABLE_OUTPUTS[case]]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error:")
+    assert sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "taken").read_text() == ""
 
 
 def test_gen_rejects_bad_spec_before_creating_out_dir(tmp_path, capsys, no_work):

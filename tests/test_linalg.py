@@ -204,6 +204,10 @@ def test_rng_stream_identical_ids_identical_values():
     b = RngStream(1234, (7, 8))
     assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
     np.testing.assert_array_equal(a.standard_normal(10), b.standard_normal(10))
+    # an int stream id is the one-element tuple
+    c, d = RngStream(1234, 5), RngStream(1234, (5,))
+    assert c.stream_id == (5,)
+    assert [c.uniform() for _ in range(5)] == [d.uniform() for _ in range(5)]
 
 
 def test_rng_stream_distinct_ids_differ():

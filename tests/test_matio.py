@@ -43,6 +43,12 @@ def test_jsm_rejects_truncation(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_jsm(path)
+    # no file holds an empty matrix, and a header of zero rows is refused
+    with pytest.raises(ValueError, match="at least one row"):
+        save_jsm(tmp_path / "empty.jsm", np.ones((0, 2)))
+    path.write_bytes(b"JSM1" + struct.pack("<QQ", 0, 2))
+    with pytest.raises(ValueError, match="invalid dimensions"):
+        load_jsm(path)
 
 
 def test_jsm_rejects_non_finite(tmp_path):

@@ -211,6 +211,8 @@ def test_restricted_argmin_empty_support_rejected():
     obj, _ = random_objective(15)
     with pytest.raises(ValueError):
         obj.restricted_argmin(RowSupport((), obj.n))
+    with pytest.raises(ValueError, match="ambient"):
+        obj.restricted_argmin(RowSupport((0,), obj.n + 1))
 
 
 def test_restricted_value_matches_full_value():
@@ -248,6 +250,8 @@ def test_batch_partition_covers_disjointly():
 def test_objective_shape_validation():
     with pytest.raises(ValueError):
         MmvObjective(np.ones((3, 2)), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="2-D"):
+        MmvObjective(np.ones((3, 2, 1)), np.ones((3, 2)))
     obj = MmvObjective(np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         obj.value(np.ones((3, 2)))

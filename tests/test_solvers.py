@@ -3,7 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from mmvgreedy.bench import gaussian_sensing_matrix, row_sparse_signal
+from mmvgreedy.bench import (
+    ExperimentSpec,
+    gaussian_sensing_matrix,
+    row_sparse_signal,
+    run_experiment,
+)
 from mmvgreedy.linalg import RngStream
 from mmvgreedy.objective import MmvObjective
 from mmvgreedy.solvers import (
@@ -171,6 +176,17 @@ def test_divergence_guard_raises_with_partial_records():
     with pytest.raises(DivergenceError) as info:
         mstoiht(obj, cfg)
     assert len(info.value.records) >= 1
+    # a step so large that the objective overflows at iteration 1
+    cfg = SolverConfig(k=3, gamma=1e300, batch_size=20, max_iter=400, tol=0.0, seed=24)
+    with np.errstate(over="ignore"), pytest.raises(DivergenceError) as info:
+        mstoiht(obj, cfg)
+    assert "non-finite" in str(info.value) and len(info.value.records) == 0
+    spec = ExperimentSpec(n=30, m=20, L=2, k=3, gamma=1e300, batch_size=20,
+                          max_iter=400, tol=0.0, trials=1, seed=24)
+    with np.errstate(over="ignore"):
+        table = run_experiment(spec)
+    assert "non-finite" in table.divergences[0]
+    assert [row.iteration for row in table.by_trial[0]] == [0]
 
 
 def test_noise_floor_monotone_in_sigma():
@@ -220,6 +236,8 @@ def test_config_validation():
         mstogradmp(obj, SolverConfig(k=11))  # 2k > n
     with pytest.raises(ValueError):
         mstoiht(obj, SolverConfig(k=2, batch_size=11))  # batch > components
+    with pytest.raises(ValueError, match="unknown probabilities"):
+        mstoiht(obj, SolverConfig(k=2, probabilities="importance"))
 
 
 def test_ground_truth_shape_checked():

@@ -122,6 +122,8 @@ def test_support_union():
     assert singles.as_array().tolist() == [0, 1]
     with pytest.raises(ValueError):
         support_union(a, RowSupport((0,), 5))
+    same = RowSupport(np.array([0, 2]), 4)
+    assert same == a and hash(same) == hash(a)
 
 
 def test_row_support_examples():
@@ -154,3 +156,5 @@ def test_row_support_validation():
         RowSupport((2, 1), 3)
     with pytest.raises(ValueError):
         RowSupport((3,), 3)
+    with pytest.raises(ValueError, match="ambient"):
+        RowSupport((), -1)
