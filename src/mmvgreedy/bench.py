@@ -82,7 +82,7 @@ class ExperimentSpec:
             raise ValueError(
                 f"unknown algo {self.algo!r}, expected one of {sorted(SOLVERS)}"
             )
-        _solver_config(self, trial=0).check_problem(self.algo, self.n, self.m)
+        _solver_config(self, trial=0).check_problem(self.algo, self.n, self.m, self.L)
 
 
 def _solver_config(spec: ExperimentSpec, trial: int, ground_truth=None) -> SolverConfig:
@@ -120,8 +120,8 @@ def row_sparse_signal(n: int, L: int, k: int, rng: RngStream) -> np.ndarray:
 
 def add_noise(Y, sigma: float, rng: RngStream) -> np.ndarray:
     """Add zero-mean Gaussian noise with standard deviation sigma."""
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
     Y = np.asarray(Y, dtype=np.float64)
     if sigma == 0:
         return Y.copy()

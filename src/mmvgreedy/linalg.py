@@ -175,15 +175,15 @@ def derive_seed(master_seed: int, *ids: int) -> int:
 class IndexSampler:
     """Inverse-CDF draws from probabilities p, checked and summed once.
 
-    p must be nonnegative and sum to 1 within 1e-12.
+    p must be finite, nonnegative and sum to 1 within 1e-12.
     """
 
     def __init__(self, p):
         p = np.asarray(p, dtype=np.float64)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("p must be a nonempty 1-D probability vector")
-        if (p < 0).any():
-            raise ValueError("p has negative entries")
+        if not np.isfinite(p).all() or (p < 0).any():
+            raise ValueError("p has negative or non-finite entries")
         total = float(p.sum())
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"p sums to {total!r}, expected 1 within 1e-12")

@@ -82,12 +82,12 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class SolverConfig:
-    """Parameters shared by all solvers.
+    """Parameters shared by all solvers, and the rules they must meet.
 
     probabilities is either "uniform" or an explicit distribution over the
     batches produced by the batch partition (it must sum to 1).  The
-    ground truth, when given, is only used to record per-iteration
-    relative errors in the trace.
+    ground truth, when given, must be a nonzero n x L matrix and is only
+    used to record per-iteration relative errors in the trace.
     """
 
     k: int
@@ -108,9 +108,11 @@ class SolverConfig:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not self.tol >= 0:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        if isinstance(self.probabilities, str) and self.probabilities != "uniform":
+            raise ValueError(f"unknown probabilities setting {self.probabilities!r}")
 
-    def check_problem(self, algo: str, n: int, m: int) -> None:
-        """Raise ValueError unless solver algo can run on n rows, m components."""
+    def check_problem(self, algo: str, n: int, m: int, L: int) -> None:
+        """Raise ValueError unless solver algo can run on n x L, m components."""
         if self.k > n:
             raise ValueError(f"sparsity k={self.k} exceeds signal length n={n}")
         if algo in _MATCHING_PURSUITS and 2 * self.k > n:
@@ -119,6 +121,21 @@ class SolverConfig:
             )
         if self.batch_size > m:
             raise ValueError(f"batch_size={self.batch_size} exceeds m={m} components")
+        if self.ground_truth is not None:
+            gt = np.asarray(self.ground_truth, dtype=np.float64)
+            if gt.shape != (n, L):
+                raise ValueError(f"ground_truth must be {n}x{L}, got {gt.shape}")
+            if np.linalg.norm(gt) == 0:
+                raise ValueError("ground_truth must be nonzero")
+
+    def batch_probabilities(self, d: int) -> np.ndarray:
+        """The draw probability of each of the d batches."""
+        if isinstance(self.probabilities, str):
+            return np.full(d, 1.0 / d)
+        p = np.asarray(self.probabilities, dtype=np.float64)
+        if p.shape != (d,):
+            raise ValueError(f"probabilities must have length {d} (one per batch)")
+        return p
 
 
 @dataclass
@@ -147,17 +164,6 @@ class SolveTrace:
         return len(self.records)
 
 
-def _batch_probabilities(cfg: SolverConfig, d: int) -> np.ndarray:
-    if isinstance(cfg.probabilities, str):
-        if cfg.probabilities != "uniform":
-            raise ValueError(f"unknown probabilities setting {cfg.probabilities!r}")
-        return np.full(d, 1.0 / d)
-    p = np.asarray(cfg.probabilities, dtype=np.float64)
-    if p.shape != (d,):
-        raise ValueError(f"probabilities must have length {d} (one per batch)")
-    return p
-
-
 def _rel_change(X_old: np.ndarray, X_new: np.ndarray) -> float:
     # change relative to the previous iterate; from the zero matrix the
     # change is infinite unless the new iterate is zero too
@@ -166,57 +172,6 @@ def _rel_change(X_old: np.ndarray, X_new: np.ndarray) -> float:
     if prev_norm == 0.0:
         return 0.0 if diff_norm == 0.0 else math.inf
     return diff_norm / prev_norm
-
-
-def _check_objective(fval: float, f0: float, records) -> None:
-    if not math.isfinite(fval):
-        raise DivergenceError(
-            f"objective became non-finite ({fval}); the step size is likely too large",
-            records,
-        )
-    if f0 > 0 and fval > _DIVERGENCE_FACTOR * f0:
-        raise DivergenceError(
-            f"objective grew to {fval:.3e}, more than {_DIVERGENCE_FACTOR:.0e} times "
-            f"its initial value {f0:.3e}; aborting as divergent",
-            records,
-        )
-
-
-class _TraceBuilder:
-    """Accumulates per-iteration diagnostics outside the timed sections."""
-
-    def __init__(self, obj: MmvObjective, cfg: SolverConfig):
-        self.obj = obj
-        self.f0 = obj.value(np.zeros((obj.n, obj.L)))
-        self.gt = None
-        self.gt_norm = 0.0
-        if cfg.ground_truth is not None:
-            self.gt = np.asarray(cfg.ground_truth, dtype=np.float64)
-            if self.gt.shape != (obj.n, obj.L):
-                raise ValueError(
-                    f"ground_truth must be {obj.n}x{obj.L}, got {self.gt.shape}"
-                )
-            self.gt_norm = float(np.linalg.norm(self.gt))
-        self.records = []
-        self.elapsed = 0.0
-
-    def add(self, t, X_new, support, change, candidate_size):
-        fval = self.obj.restricted_value(X_new, support)
-        _check_objective(fval, self.f0, self.records)
-        rel = None
-        if self.gt is not None:
-            rel = frobenius_norm(X_new - self.gt) / self.gt_norm
-        self.records.append(
-            IterationRecord(
-                iteration=t,
-                elapsed_s=self.elapsed,
-                objective=fval,
-                step_rel_change=change,
-                rel_err=rel,
-                support_size=len(support),
-                candidate_size=candidate_size,
-            )
-        )
 
 
 def _iht_step(obj, X, kept, batch, scale, k):
@@ -258,18 +213,6 @@ def _gradmp_step(obj, X, kept, batch, scale, k):
     return project_rows(B, support), support, candidate
 
 
-@dataclass
-class _Problem:
-    """An objective the engine advances, with its stream and state."""
-
-    obj: MmvObjective
-    rng: RngStream
-    X: np.ndarray
-    kept: RowSupport
-    change: float = math.inf
-    active: bool = True
-
-
 def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
     """Run algo's step on obj, or on each of its single-column problems.
 
@@ -277,49 +220,66 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
     step's support; a concatenated one the row support of the combined
     iterate, which may exceed k while the columns disagree.
     """
-    cfg.check_problem(algo, obj.n, obj.component_count)
+    cfg.check_problem(algo, obj.n, obj.component_count, obj.L)
     step = _gradmp_step if algo in _MATCHING_PURSUITS else _iht_step
     plan = batch_partition(obj.component_count, cfg.batch_size)
-    sampler = IndexSampler(_batch_probabilities(cfg, plan.count))
-    tracer = _TraceBuilder(obj, cfg)
+    sampler = IndexSampler(cfg.batch_probabilities(plan.count))
+    f0 = obj.value(np.zeros((obj.n, obj.L)))
+    gt = cfg.ground_truth
+    if gt is not None:
+        gt = np.asarray(gt, dtype=np.float64)
+        gt_norm = float(np.linalg.norm(gt))
     parts = [obj.column(j) for j in range(obj.L)] if per_column else [obj]
-    problems = [
-        _Problem(part, RngStream(cfg.seed, (j,)), np.zeros((obj.n, part.L)),
-                 RowSupport.empty(obj.n))
-        for j, part in enumerate(parts)
-    ]
+    rngs = [RngStream(cfg.seed, (j,)) for j in range(len(parts))]
+    iterates = [np.zeros((obj.n, part.L)) for part in parts]
+    kept = [RowSupport.empty(obj.n)] * len(parts)
+    changes = [math.inf] * len(parts)
+    active = list(range(len(parts)))
     X = np.zeros((obj.n, obj.L))
-    trace = SolveTrace()
+    trace, elapsed = SolveTrace(), 0.0
     for t in range(1, cfg.max_iter + 1):
         candidate_sizes = []
-        for prob in problems:
-            if not prob.active:
-                continue
+        for j in active:
             tic = time.perf_counter()
-            i = sampler.draw(prob.rng)
+            i = sampler.draw(rngs[j])
             scale = cfg.gamma / (plan.count * sampler.p[i])
-            X_new, prob.kept, candidate = step(
-                prob.obj, prob.X, prob.kept, plan.batches[i], scale, cfg.k
+            X_j, kept[j], candidate = step(
+                parts[j], iterates[j], kept[j], plan.batches[i], scale, cfg.k
             )
-            tracer.elapsed += time.perf_counter() - tic
-
-            prob.change = _rel_change(prob.X, X_new)
-            prob.X = X_new
-            prob.active = not prob.change < cfg.tol
+            elapsed += time.perf_counter() - tic
+            changes[j], iterates[j] = _rel_change(iterates[j], X_j), X_j
             if candidate is not None:
                 candidate_sizes.append(len(candidate))
+        active = [j for j in active if not changes[j] < cfg.tol]
 
         if per_column:
-            X_new = np.hstack([prob.X for prob in problems])
+            X_new = np.hstack(iterates)
             support, change = row_support(X_new), _rel_change(X, X_new)
         else:
-            X_new, support, change = problems[0].X, problems[0].kept, problems[0].change
-        tracer.add(t, X_new, support, change, max(candidate_sizes, default=None))
+            X_new, support, change = iterates[0], kept[0], changes[0]
+        fval = obj.restricted_value(X_new, support)
+        if not math.isfinite(fval):
+            raise DivergenceError(
+                f"objective became non-finite ({fval}); the step size is likely "
+                "too large",
+                trace.records,
+            )
+        if f0 > 0 and fval > _DIVERGENCE_FACTOR * f0:
+            raise DivergenceError(
+                f"objective grew to {fval:.3e}, more than {_DIVERGENCE_FACTOR:.0e} "
+                f"times its initial value {f0:.3e}; aborting as divergent",
+                trace.records,
+            )
+        rel = None if gt is None else frobenius_norm(X_new - gt) / gt_norm
+        trace.records.append(IterationRecord(
+            iteration=t, elapsed_s=elapsed, objective=fval, step_rel_change=change,
+            rel_err=rel, support_size=len(support),
+            candidate_size=max(candidate_sizes, default=None),
+        ))
         X = X_new
-        if not any(prob.active for prob in problems):
+        if not active:
             trace.stop_reason = "tolerance"
             break
-    trace.records = tracer.records
     trace.estimate = X
     return trace
 

@@ -80,8 +80,9 @@ def test_signal_support_is_uniform():
 def test_add_noise_zero_sigma_is_identity():
     Y = RngStream(5, (0,)).standard_normal((4, 3))
     np.testing.assert_array_equal(add_noise(Y, 0.0, RngStream(6, (0,))), Y)
-    with pytest.raises(ValueError):
-        add_noise(Y, -0.1, RngStream(6, (0,)))
+    for sigma in (-0.1, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            add_noise(Y, sigma, RngStream(6, (0,)))
 
 
 def test_add_noise_variance():

@@ -191,6 +191,8 @@ def test_draw_index_validation():
         draw_index([-0.1, 1.1], rng)
     with pytest.raises(ValueError):
         draw_index([], rng)
+    with pytest.raises(ValueError):
+        draw_index([np.nan, 1.0], rng)  # passes the sign and the sum tests
 
 
 def test_draw_index_skips_zero_probability():

@@ -43,6 +43,20 @@ def test_zero_data_is_a_one_iteration_fixed_point(solver):
     np.testing.assert_array_equal(trace.estimate, np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("solver", list(SOLVERS.values()), ids=list(SOLVERS))
+def test_stop_rule_at_the_iteration_cap(solver):
+    # the change from the zero start is inf, and inf < inf is false, so
+    # tol=inf stops on the tolerance at iteration 2, or at a cap of 1
+    obj, _ = planted_problem(31, n=20, m=10, L=2, k=3)
+    for max_iter, tol, stop, iterations in [
+        (2, math.inf, "tolerance", 2),
+        (1, math.inf, "max_iter", 1),
+        (2, 0.0, "max_iter", 2),
+    ]:
+        trace = solver(obj, SolverConfig(k=3, max_iter=max_iter, tol=tol, seed=32))
+        assert (trace.stop_reason, trace.iterations) == (stop, iterations)
+
+
 def test_mstoiht_one_full_batch_step_matches_hand_rolled_proxy():
     obj, _ = planted_problem(1)
     cfg = SolverConfig(k=3, gamma=1.0, batch_size=obj.m, max_iter=1, tol=0.0, seed=2)
@@ -216,6 +230,9 @@ def test_explicit_batch_probabilities():
     with pytest.raises(ValueError):
         mstoiht(obj, SolverConfig(k=3, batch_size=5, probabilities=np.ones(3),
                                   max_iter=5, seed=0))
+    # a NaN entry passes neither the sign nor the sum test by itself
+    with pytest.raises(ValueError, match="non-finite"):
+        mstoiht(obj, SolverConfig(k=3, batch_size=10, probabilities=[math.nan, 1.0]))
 
 
 def test_config_validation():
@@ -237,7 +254,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         mstoiht(obj, SolverConfig(k=2, batch_size=11))  # batch > components
     with pytest.raises(ValueError, match="unknown probabilities"):
-        mstoiht(obj, SolverConfig(k=2, probabilities="importance"))
+        SolverConfig(k=2, probabilities="importance")  # before any problem
 
 
 def test_ground_truth_shape_checked():
@@ -245,3 +262,8 @@ def test_ground_truth_shape_checked():
     cfg = SolverConfig(k=3, max_iter=5, seed=0, ground_truth=np.zeros((3, 3)))
     with pytest.raises(ValueError):
         mstoiht(obj, cfg)
+    # a zero ground truth has no relative error; rejected before the first draw
+    for solver in SOLVERS.values():
+        cfg = SolverConfig(k=3, seed=0, ground_truth=np.zeros((20, 2)))
+        with pytest.raises(ValueError, match="must be nonzero"):
+            solver(obj, cfg)
