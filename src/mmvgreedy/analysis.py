@@ -148,11 +148,8 @@ def _resolve_probability_range(p_min, p_max, M):
 
 
 def contraction_mstogradmp(
-    c: ConvexityConstants,
-    eta1: float = 1.0,
-    eta2: float = 1.0,
-    p_max: float | None = None,
-    M: int = 1,
+    c: ConvexityConstants, eta1: float = 1.0, eta2: float = 1.0,
+    p_max: float | None = None, M: int = 1,
 ) -> float:
     """Contraction of the joint matching-pursuit solver.
 
@@ -184,11 +181,8 @@ class CStoGradMpContraction(NamedTuple):
 
 
 def contraction_cstogradmp(
-    c: ConvexityConstants,
-    eta1: float = 1.0,
-    eta2: float = 1.0,
-    p_max: float | None = None,
-    M: int = 1,
+    c: ConvexityConstants, eta1: float = 1.0, eta2: float = 1.0,
+    p_max: float | None = None, M: int = 1,
 ) -> CStoGradMpContraction:
     """Contraction of the concatenated matching-pursuit solver.
 
@@ -215,13 +209,8 @@ def contraction_cstogradmp(
 
 
 def tolerance_mstogradmp(
-    obj: MmvObjective,
-    X_star,
-    k: int,
-    c: ConvexityConstants,
-    eta2: float = 1.0,
-    p_min: float | None = None,
-    p_max: float | None = None,
+    obj: MmvObjective, X_star, k: int, c: ConvexityConstants, eta2: float = 1.0,
+    p_min: float | None = None, p_max: float | None = None,
 ) -> float:
     """Noise-floor term of the matching-pursuit error bound at X_star.
 
@@ -327,10 +316,7 @@ class RestrictedPropertyReport:
 
 
 def verify_rsc_rss(
-    obj: MmvObjective,
-    k: int,
-    pairs: int = 1000,
-    rng: RngStream | None = None,
+    obj: MmvObjective, k: int, pairs: int = 1000, rng: RngStream | None = None,
 ) -> RestrictedPropertyReport:
     """Check restricted strong convexity and smoothness on random pairs.
 
@@ -356,16 +342,13 @@ def verify_rsc_rss(
 
     # small relative slack so exact-arithmetic inequalities survive rounding
     slack = 1e-9
-    convexity_violations = 0
-    smoothness_violations = 0
-    rho_minus_observed = math.inf
-    rho_plus_observed = 0.0
+    convexity_violations = smoothness_violations = 0
+    rho_minus_observed, rho_plus_observed = math.inf, 0.0
     sampler = IndexSampler(np.full(obj.component_count, 1.0 / obj.component_count))
 
     for _ in range(pairs):
         support = np.sort(rng.choice_without_replacement(obj.n, k))
-        X = np.zeros((obj.n, obj.L))
-        Xp = np.zeros((obj.n, obj.L))
+        X, Xp = np.zeros((obj.n, obj.L)), np.zeros((obj.n, obj.L))
         X[support] = rng.standard_normal((k, obj.L))
         Xp[support] = rng.standard_normal((k, obj.L))
         diff = Xp - X
@@ -388,15 +371,10 @@ def verify_rsc_rss(
         rho_plus_observed = max(rho_plus_observed, grad_gap / diff_norm)
 
     return RestrictedPropertyReport(
-        k=k,
-        delta=delta,
-        rho_minus=rho_minus,
-        rho_plus=rho_plus,
-        pairs_checked=pairs,
+        k=k, delta=delta, rho_minus=rho_minus, rho_plus=rho_plus, pairs_checked=pairs,
         convexity_violations=convexity_violations,
         smoothness_violations=smoothness_violations,
-        rho_minus_observed=rho_minus_observed,
-        rho_plus_observed=rho_plus_observed,
+        rho_minus_observed=rho_minus_observed, rho_plus_observed=rho_plus_observed,
     )
 
 

@@ -1,4 +1,4 @@
-"""Matrix file I/O: the JSM1 binary format and plain CSV.
+"""Matrix file I/O in the JSM1 binary format.
 
 JSM1 layout: magic bytes ``4A 53 4D 31``, rows and cols as unsigned
 64-bit little-endian integers, then rows*cols IEEE-754 binary64
@@ -13,21 +13,17 @@ import numpy as np
 
 from .linalg import as_matrix, require_finite
 
-__all__ = ["save_jsm", "load_jsm", "save_csv", "load_csv"]
+__all__ = ["save_jsm", "load_jsm"]
 
 MAGIC = b"JSM1"
 _HEADER = struct.Struct("<QQ")
 
 
-def _validated(X, name):
-    A = as_matrix(X, name)
-    if A.shape[0] < 1 or A.shape[1] < 1:
-        raise ValueError(f"{name} must have at least one row and one column")
-    return require_finite(A, name)
-
-
 def save_jsm(path, X) -> None:
-    A = _validated(X, "matrix")
+    A = as_matrix(X, "matrix")
+    if A.shape[0] < 1 or A.shape[1] < 1:
+        raise ValueError("matrix must have at least one row and one column")
+    require_finite(A, "matrix")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(_HEADER.pack(A.shape[0], A.shape[1]))
@@ -53,16 +49,3 @@ def load_jsm(path) -> np.ndarray:
     A = data.reshape(rows, cols).astype(np.float64)
     return require_finite(A, path)
 
-
-def save_csv(path, X) -> None:
-    """One matrix row per line, comma separated, shortest round-trip reprs."""
-    A = _validated(X, "matrix")
-    with open(path, "w", newline="\n") as fh:
-        for row in A:
-            fh.write(",".join(repr(v) for v in row.tolist()))
-            fh.write("\n")
-
-
-def load_csv(path) -> np.ndarray:
-    A = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
-    return require_finite(_validated(A, path), path)

@@ -10,9 +10,9 @@ viewed as the mean of m components, one per measurement row:
 
 Stochastic solvers consume this through batch gradients (the mean gradient
 over a set of rows) and support-restricted minimization.  The objective is
-separable across signal columns: column(j) is the single-column problem
-(A, Y[:, j]) that the concatenated per-column solvers run, and the
-per-column kernels are the shared kernels applied to it.
+separable across signal columns: the per-column kernels are the shared
+kernels of the single-column problem (A, Y[:, j]) that the concatenated
+solvers run, computed on A and Y[:, j] directly.
 """
 
 from __future__ import annotations
@@ -109,44 +109,50 @@ class MmvObjective:
         R = A_rows @ X - self.Y[idx]
         return A_rows.T @ R / idx.size
 
-    def column(self, j: int) -> "MmvObjective":
-        """The single-column problem (A, Y[:, j]) the per-column solvers run."""
+    def column_grad(self, rows, j: int, x) -> np.ndarray:
+        """batch_grad of column j's problem (A, Y[:, j]) at the length-n x."""
+        idx = self._rows(rows)
         if not 0 <= j < self.L:
             raise ValueError(f"column {j} out of range [0, {self.L})")
-        return MmvObjective(self.A, self.Y[:, j : j + 1])
-
-    def column_grad(self, rows, j: int, x) -> np.ndarray:
-        """batch_grad of column j's problem at the length-n vector x.
-
-        It equals column j of batch_grad when x = X[:, j].
-        """
-        col = self.column(j)
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
-        return col.batch_grad(rows, x[:, None]).ravel()
+        A_rows = self.A[idx]
+        r = A_rows @ x[:, None] - self.Y[idx, j][:, None]
+        return (A_rows.T @ r / idx.size).ravel()
 
-    def restricted_argmin(self, support: RowSupport) -> np.ndarray:
+    def _support_rows(self, support) -> np.ndarray:
+        # a RowSupport, or the sorted array of one's rows
+        if isinstance(support, RowSupport):
+            if support.ambient != self.n:
+                raise ValueError(
+                    f"support ambient {support.ambient} != signal length {self.n}"
+                )
+            support = support.as_array()
+        if len(support) == 0:
+            raise ValueError("support must be nonempty")
+        return support
+
+    def restricted_argmin(self, support) -> np.ndarray:
         """Minimize F over matrices supported on the given rows.
 
         Rows outside the support are zero; the supported block is the
         minimum-norm least-squares solution against the selected columns
         of A.
         """
-        if support.ambient != self.n:
-            raise ValueError(
-                f"support ambient {support.ambient} != signal length {self.n}"
-            )
-        if len(support) == 0:
-            raise ValueError("support must be nonempty")
-        idx = support.as_array()
+        idx = self._support_rows(support)
         B = np.zeros((self.n, self.L))
         B[idx] = least_squares_solve(self.A[:, idx], self.Y)
         return B
 
-    def restricted_column_argmin(self, support: RowSupport, j: int) -> np.ndarray:
+    def restricted_column_argmin(self, support, j: int) -> np.ndarray:
         """restricted_argmin of column j's problem, as a length-n vector."""
-        return self.column(j).restricted_argmin(support).ravel()
+        idx = self._support_rows(support)
+        if not 0 <= j < self.L:
+            raise ValueError(f"column {j} out of range [0, {self.L})")
+        b = np.zeros(self.n)
+        b[idx] = least_squares_solve(self.A[:, idx], self.Y[:, j : j + 1]).ravel()
+        return b
 
     def full_grad(self, X) -> np.ndarray:
         """Exact gradient (1/m) A^T (A X - Y) of F: batch_grad over every row."""

@@ -17,10 +17,11 @@ objective components per problem and applies one step to its iterate:
   (at most 3k rows), then keep the k best rows of the minimizer.
 
 The joint solvers run the step on one problem, the whole n x L matrix.
-The concatenated solvers run it on the L single-column problems
-(A, Y[:, j]), each with its own substream j, kept support and tolerance
-stop, advanced in lockstep: the trace at iteration t is the matrix of
-every column's t-th iterate, and at L = 1 both are the same computation.
+The concatenated solvers step the L single-column problems (A, Y[:, j]),
+each with its own substream j, kept rows and tolerance stop, at once on
+an L x n stack whose row j, column j's iterate, is one contiguous operand
+ranked as top_k_rows ranks an n x 1 block: at L = 1 both families compute
+the same bits.  The trace at iteration t holds every column's t-th iterate.
 
 All solvers start from the zero matrix, stop when the relative iterate
 change drops below the tolerance (every column's change, for the
@@ -213,15 +214,50 @@ def _gradmp_step(obj, X, kept, batch, scale, k):
     return project_rows(B, support), support, candidate
 
 
-def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
-    """Run algo's step on obj, or on each of its single-column problems.
+def _top_k_mask(B, k):
+    # each row's k entries of largest magnitude, ranked as top_k_rows ranks
+    # the n x 1 block B[r][:, None]: ties keep the lower index
+    order = np.argsort(-np.abs(B), axis=1, kind="stable")
+    mask = np.zeros(B.shape, dtype=bool)
+    np.put_along_axis(mask, order[:, :k], True, axis=1)
+    return mask
+
+
+def _iht_columns(obj, X, kept, cols, batches, scales, k):
+    """The IHT step of each column problem cols[r], whose iterate is X[r]."""
+    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, X)])
+    B = X - np.array(scales)[:, None] * G
+    keep = _top_k_mask(B, k)
+    return np.where(keep, B, 0.0), keep, None
+
+
+def _gradmp_columns(obj, X, kept, cols, batches, scales, k):
+    """The GradMP step of each column problem cols[r], whose iterate is X[r]."""
+    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, X)])
+    cand = _top_k_mask(G, 2 * k) | kept
+    B = np.array([obj.restricted_column_argmin(np.flatnonzero(c), j)
+                  for c, j in zip(cand, cols)])
+    keep = _top_k_mask(B, k)
+    return np.where(keep, B, 0.0), keep, int(cand.sum(axis=1).max())
+
+
+_STEPS = {"mstoiht": _iht_step, "cstoiht": _iht_columns,
+          "mstogradmp": _gradmp_step, "cstogradmp": _gradmp_columns}
+
+
+def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
+    """Run algo's step on obj, or on all of its single-column problems.
 
     Only the draws and the steps are timed.  A joint record carries the
     step's support; a concatenated one the row support of the combined
     iterate, which may exceed k while the columns disagree.
     """
     cfg.check_problem(algo, obj.n, obj.component_count, obj.L)
-    step = _gradmp_step if algo in _MATCHING_PURSUITS else _iht_step
+    step, columns = _STEPS[algo], algo in ("cstoiht", "cstogradmp")
+    if columns:  # row j holds column j's iterate and kept rows
+        X_cols, kept = np.zeros((obj.L, obj.n)), np.zeros((obj.L, obj.n), dtype=bool)
+    else:
+        kept = RowSupport.empty(obj.n)
     plan = batch_partition(obj.component_count, cfg.batch_size)
     sampler = IndexSampler(cfg.batch_probabilities(plan.count))
     f0 = obj.value(np.zeros((obj.n, obj.L)))
@@ -229,34 +265,32 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
     if gt is not None:
         gt = np.asarray(gt, dtype=np.float64)
         gt_norm = float(np.linalg.norm(gt))
-    parts = [obj.column(j) for j in range(obj.L)] if per_column else [obj]
-    rngs = [RngStream(cfg.seed, (j,)) for j in range(len(parts))]
-    iterates = [np.zeros((obj.n, part.L)) for part in parts]
-    kept = [RowSupport.empty(obj.n)] * len(parts)
-    changes = [math.inf] * len(parts)
-    active = list(range(len(parts)))
+    rngs = [RngStream(cfg.seed, (j,)) for j in range(obj.L if columns else 1)]
+    changes, active = [math.inf] * len(rngs), list(range(len(rngs)))
     X = np.zeros((obj.n, obj.L))
     trace, elapsed = SolveTrace(), 0.0
     for t in range(1, cfg.max_iter + 1):
-        candidate_sizes = []
-        for j in active:
-            tic = time.perf_counter()
-            i = sampler.draw(rngs[j])
-            scale = cfg.gamma / (plan.count * sampler.p[i])
-            X_j, kept[j], candidate = step(
-                parts[j], iterates[j], kept[j], plan.batches[i], scale, cfg.k
+        tic = time.perf_counter()
+        draws = [sampler.draw(rngs[j]) for j in active]
+        batches = [plan.batches[i] for i in draws]
+        scales = [cfg.gamma / (plan.count * sampler.p[i]) for i in draws]
+        if columns:
+            X_old = X_cols[active]
+            X_cols[active], kept[active], candidate_size = step(
+                obj, X_old, kept[active], active, batches, scales, cfg.k
             )
             elapsed += time.perf_counter() - tic
-            changes[j], iterates[j] = _rel_change(iterates[j], X_j), X_j
-            if candidate is not None:
-                candidate_sizes.append(len(candidate))
-        active = [j for j in active if not changes[j] < cfg.tol]
-
-        if per_column:
-            X_new = np.hstack(iterates)
+            for r, j in enumerate(active):
+                changes[j] = _rel_change(X_old[r : r + 1], X_cols[j : j + 1])
+            X_new = X_cols.T.copy()
             support, change = row_support(X_new), _rel_change(X, X_new)
         else:
-            X_new, support, change = iterates[0], kept[0], changes[0]
+            X_new, kept, cand = step(obj, X, kept, batches[0], scales[0], cfg.k)
+            elapsed += time.perf_counter() - tic
+            changes[0] = change = _rel_change(X, X_new)
+            support, candidate_size = kept, None if cand is None else len(cand)
+        active = [j for j in active if not changes[j] < cfg.tol]
+
         fval = obj.restricted_value(X_new, support)
         if not math.isfinite(fval):
             raise DivergenceError(
@@ -273,8 +307,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
         rel = None if gt is None else frobenius_norm(X_new - gt) / gt_norm
         trace.records.append(IterationRecord(
             iteration=t, elapsed_s=elapsed, objective=fval, step_rel_change=change,
-            rel_err=rel, support_size=len(support),
-            candidate_size=max(candidate_sizes, default=None),
+            rel_err=rel, support_size=len(support), candidate_size=candidate_size,
         ))
         X = X_new
         if not active:
@@ -286,22 +319,22 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str, per_column: bool):
 
 def mstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Joint stochastic IHT; with one batch of all components, projected GD."""
-    return _solve(obj, cfg, "mstoiht", per_column=False)
+    return _solve(obj, cfg, "mstoiht")
 
 
 def cstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Concatenated stochastic IHT: the IHT step run on each column alone."""
-    return _solve(obj, cfg, "cstoiht", per_column=True)
+    return _solve(obj, cfg, "cstoiht")
 
 
 def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Joint stochastic gradient matching pursuit over all signal columns."""
-    return _solve(obj, cfg, "mstogradmp", per_column=False)
+    return _solve(obj, cfg, "mstogradmp")
 
 
 def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     """Concatenated stochastic GradMP: the GradMP step run on each column alone."""
-    return _solve(obj, cfg, "cstogradmp", per_column=True)
+    return _solve(obj, cfg, "cstogradmp")
 
 
 SOLVERS = {

@@ -1,0 +1,112 @@
+"""The stacked column step against the reference loops at acceptance shape.
+
+The concatenated solvers advance every active column in one step over an
+L x n stack.  The property tests of test_solver_oracle.py draw n <= 40,
+m <= 30 and L <= 5, so they never reach 40 columns or candidate blocks of
+120 rows and more.  Here both concatenated solvers run at the acceptance
+shape (n=200, m=100, L=40, b=1) on noisy instances and must match the
+frozen loops of oracle_solvers.py in the oracle's rounding mode: the same
+supports, candidate sizes, stop and iteration count at every iteration,
+and values that agree to 1e-10.  A tolerance of 1e-2 stops columns at
+different iterations, so the set of active columns shrinks mid-run.
+
+Every GradMP record, joint or concatenated, has between 2k and 3k
+candidate rows: the 2k matched rows united with the k kept ones.  The
+stacked selection ranks each row of the stack as top_k_rows ranks an
+n x 1 block, ties included.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mmvgreedy.bench import gaussian_sensing_matrix, row_sparse_signal
+from mmvgreedy.linalg import RngStream
+from mmvgreedy.objective import MmvObjective
+from mmvgreedy.solvers import SOLVERS, SolverConfig, _top_k_mask
+from mmvgreedy.sparsity import top_k_rows
+from oracle_solvers import ORACLES
+
+RTOL = 1e-10
+# (solver, k, max_iter) of the acceptance protocols of the two families
+RUNS = [("cstogradmp", 60, 5), ("cstoiht", 5, 50)]
+
+
+def _instance(k, seed, sigma=0.05, n=200, m=100, L=40):
+    rng = RngStream(seed, (0,))
+    A = gaussian_sensing_matrix(m, n, rng)
+    X_star = row_sparse_signal(n, L, k, rng)
+    Y = A @ X_star + sigma * rng.standard_normal((m, L))
+    return MmvObjective(A, Y), X_star
+
+
+def _close(new, old, floor):
+    # relative to the value, or to floor where the value is near zero
+    return new == old or abs(new - old) <= RTOL * max(floor, abs(old))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-2])
+@pytest.mark.parametrize("algo, k, max_iter", RUNS)
+@pytest.mark.parametrize("seed", [1, 2])
+def test_stacked_step_matches_the_reference_at_acceptance_shape(
+    monkeypatch, algo, k, max_iter, tol, seed
+):
+    obj, X_star = _instance(k, seed)
+    cfg = SolverConfig(k=k, max_iter=max_iter, tol=tol, seed=seed, ground_truth=X_star)
+    steps = []  # the column of every column gradient the engine forms
+    real_grad = MmvObjective.column_grad
+
+    def column_grad(self, rows, j, x):
+        steps.append(j)
+        return real_grad(self, rows, j, x)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(MmvObjective, "column_grad", column_grad)
+        new = SOLVERS[algo](obj, cfg)
+    old = ORACLES[algo](obj, cfg)
+
+    assert (new.stop_reason, new.iterations) == (old.stop_reason, old.iterations)
+    f0 = obj.value(np.zeros((obj.n, obj.L)))
+    for a, b in zip(new.records, old.records):
+        assert (a.iteration, a.support_size, a.candidate_size) == (
+            b.iteration, b.support_size, b.candidate_size
+        )
+        assert _close(a.objective, b.objective, f0)
+        assert _close(a.rel_err, b.rel_err, 1.0)
+        assert _close(a.step_rel_change, b.step_rel_change, 1.0)
+    assert np.linalg.norm(new.estimate - old.estimate) <= RTOL * np.linalg.norm(
+        old.estimate
+    )
+    full = obj.L * new.iterations
+    if tol == 0:
+        assert len(steps) == full
+    else:  # some column stopped before the last iteration
+        assert len(steps) < full
+
+
+@pytest.mark.parametrize("algo", ["mstogradmp", "cstogradmp"])
+@pytest.mark.parametrize(
+    "n, m, L, k, sigma",
+    [(200, 100, 40, 60, 0.0), (200, 100, 40, 20, 0.05), (40, 12, 3, 5, 0.01)],
+)
+def test_gradmp_candidates_hold_2k_to_3k_rows(algo, n, m, L, k, sigma):
+    obj, X_star = _instance(k, 7, sigma, n, m, L)
+    cfg = SolverConfig(k=k, max_iter=5, tol=0.0, seed=7, ground_truth=X_star)
+    sizes = [r.candidate_size for r in SOLVERS[algo](obj, cfg).records]
+    assert len(sizes) == 5
+    assert all(2 * k <= size <= 3 * k for size in sizes), sizes
+
+
+@settings(max_examples=100)
+@given(st.integers(1, 6), st.integers(1, 50), st.integers(0, 2**32 - 1), st.data())
+def test_stacked_selection_ranks_each_row_as_top_k_rows(rows, n, seed, data):
+    B = RngStream(seed, (0,)).standard_normal((rows, n))
+    if data.draw(st.booleans()):  # ties, zeros and signed zeros among them
+        B = np.round(B) * data.draw(st.sampled_from([1.0, -1.0]))
+    k = data.draw(st.integers(0, n))
+    mask = _top_k_mask(B, k)
+    for r in range(rows):
+        assert np.flatnonzero(mask[r]).tolist() == (
+            top_k_rows(B[r][:, None], k).as_array().tolist()
+        )

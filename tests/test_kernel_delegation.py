@@ -1,9 +1,9 @@
 """The per-column and full-gradient kernels against their own definitions.
 
-`column_grad`, `restricted_column_argmin` and `top_k_indices` delegate to
-the shared kernels (`batch_grad`, `restricted_argmin`, `top_k_rows`) on
-the single-column problem `MmvObjective.column(j)`, and `full_grad` is
-`batch_grad` over every component.  Under the derandomized profile these
+`column_grad` and `restricted_column_argmin` compute the shared kernels
+(`batch_grad`, `restricted_argmin`) of the single-column problem
+(A, Y[:, j]), `top_k_indices` delegates to `top_k_rows`, and `full_grad`
+is `batch_grad` over every component.  Under the derandomized profile these
 tests draw shapes, supports and batches and require every value to match,
 bit for bit, the stand-alone copies frozen in oracle_solvers.py and the
 textbook gradient `A^T (A X - Y) / m`.
@@ -86,8 +86,6 @@ def test_column_kernels_reject_a_bad_column_or_vector(problem):
     obj, _ = problem
     x, support = np.zeros(obj.n), RowSupport([0], obj.n)
     for j in (-1, obj.L):
-        with pytest.raises(ValueError, match="column"):
-            obj.column(j)
         with pytest.raises(ValueError, match="column"):
             obj.column_grad([0], j, x)
         with pytest.raises(ValueError, match="column"):

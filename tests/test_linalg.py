@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -150,6 +152,32 @@ def test_lstsq_well_conditioned_blocks_skip_fallback(monkeypatch):
         A = rng.standard_normal((m, s))
         Y = rng.standard_normal((m, 2))
         assert _pinv_gap(A, Y, least_squares_solve(A, Y)) <= 1e-10
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_lstsq_takes_the_wide_branch_exactly_when_s_reaches_m(monkeypatch, offset):
+    # the wide branch forms the m x m Gram matrix A A^T, the tall one the
+    # s x s A^T A; at s = m only the transpose flags of the product differ
+    grams = []
+    real_dgemm = linalg.blas.dgemm
+
+    def dgemm(*args, **flags):
+        out = real_dgemm(*args, **flags)
+        grams.append((flags, out.shape))
+        return out
+
+    monkeypatch.setattr(linalg, "blas", types.SimpleNamespace(dgemm=dgemm))
+    m = 12
+    s = m + offset
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((m, s))
+    Y = rng.standard_normal((m, 3))
+    B = least_squares_solve(A, Y)
+    wide = s >= m
+    assert grams[0] == (
+        {"trans_a": int(wide), "trans_b": int(not wide)}, (m, m) if wide else (s, s)
+    )
+    assert _pinv_gap(A, Y, B) <= 1e-10
 
 
 def test_lstsq_dimension_mismatch():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mmvgreedy.linalg import RngStream
-from mmvgreedy.matio import load_csv, load_jsm, save_csv, save_jsm
+from mmvgreedy.matio import load_jsm, save_jsm
 
 
 def test_jsm_round_trip(tmp_path):
@@ -61,26 +61,3 @@ def test_jsm_rejects_non_finite(tmp_path):
     with pytest.raises(ValueError):
         load_jsm(path)
 
-
-def test_csv_round_trip(tmp_path):
-    rng = RngStream(4, (0,))
-    X = rng.standard_normal((4, 5))
-    path = tmp_path / "x.csv"
-    save_csv(path, X)
-    np.testing.assert_array_equal(load_csv(path), X)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == 4
-    assert all(len(line.split(",")) == 5 for line in lines)
-
-
-def test_csv_single_cell(tmp_path):
-    path = tmp_path / "one.csv"
-    save_csv(path, np.array([[-2.5]]))
-    np.testing.assert_array_equal(load_csv(path), [[-2.5]])
-
-
-def test_csv_rejects_non_finite_on_load(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("1.0,nan\n2.0,3.0\n")
-    with pytest.raises(ValueError):
-        load_csv(path)
