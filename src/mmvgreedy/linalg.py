@@ -17,6 +17,8 @@ always the minimum-norm least-squares solution up to rounding.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import scipy.linalg
 from scipy.linalg import blas, lapack
@@ -57,7 +59,7 @@ def require_int(value, name: str):
 def frobenius_norm(X) -> float:
     """Square root of the sum of squared entries, as np.linalg.norm(X) sums them."""
     x = as_matrix(X).ravel()
-    return float(np.sqrt(x.dot(x)))
+    return math.sqrt(x.dot(x))  # IEEE sqrt, correctly rounded as np.sqrt is
 
 
 def row_norms(X) -> np.ndarray:
@@ -157,6 +159,10 @@ class RngStream:
         """One double in [0, 1)."""
         return float(self._gen.random())
 
+    def uniforms(self, count: int) -> np.ndarray:
+        """The next count doubles, the values count uniform() calls return."""
+        return self._gen.random(count)
+
     def standard_normal(self, shape) -> np.ndarray:
         return self._gen.standard_normal(shape)
 
@@ -194,6 +200,12 @@ class IndexSampler:
     def draw(self, rng: RngStream) -> int:
         idx = int(self._cum.searchsorted(rng.uniform(), side="right"))
         return idx if idx < self._cum.size else self._last
+
+    def draws(self, rng: RngStream, count: int) -> np.ndarray:
+        """The indices of count successive draw(rng) calls, in one bulk draw."""
+        idx = self._cum.searchsorted(rng.uniforms(count), side="right")
+        idx[idx == self._cum.size] = self._last
+        return idx
 
 
 def draw_index(p, rng: RngStream) -> int:

@@ -158,9 +158,12 @@ class MmvObjective:
         """Exact gradient (1/m) A^T (A X - Y) of F: batch_grad over every row."""
         return self.batch_grad(np.arange(self.m), X)
 
-    def restricted_value(self, X, support: RowSupport) -> float:
-        """F(X) for an X known to be supported on the given rows (cheaper)."""
+    def restricted_value(self, X, support) -> float:
+        """F(X) for an X known to be supported on the given rows (cheaper).
+
+        support is a RowSupport or the sorted array of one's rows.
+        """
         X = self._check_iterate(X)
-        idx = support.as_array()
-        R = self.Y - self.A[:, idx] @ X[idx]
+        idx = support.as_array() if isinstance(support, RowSupport) else support
+        R = self.Y - self.A[:, idx] @ X.take(idx, 0)
         return 0.5 / self.m * float(np.vdot(R, R))

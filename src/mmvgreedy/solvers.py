@@ -23,6 +23,17 @@ an L x n stack whose row j, column j's iterate, is one contiguous operand
 ranked as top_k_rows ranks an n x 1 block: at L = 1 both families compute
 the same bits.  The trace at iteration t holds every column's t-th iterate.
 
+The one-row IHT step returns the rows it changes, with their old and new
+values, and the engine writes just those rows: into the iterate, and into
+two n x L buffers that hold X - X_old and X - ground_truth everywhere.
+Each norm of the trace is then the same dense reduction over the same
+values as a norm of a freshly formed difference, so the bits do not move.
+A dense step (larger batches, GradMP, the concatenated stack) returns its
+whole new iterate and the differences are formed afresh.  ||X_old|| is
+the previous iteration's ||X||.  Supports are sorted index arrays, and
+each stream draws its batches in bulk: the same uniforms, mapped the same
+way, as one draw at a time.
+
 All solvers start from the zero matrix, stop when the relative iterate
 change drops below the tolerance (every column's change, for the
 concatenated solvers) or after max_iter iterations, and record a
@@ -67,6 +78,9 @@ __all__ = [
 _DIVERGENCE_FACTOR = 1e12
 # the solvers that take the GradMP step, which matches 2k rows
 _MATCHING_PURSUITS = ("mstogradmp", "cstogradmp")
+# uniforms a stream draws per bulk call: few calls, and memory bounded
+# however large max_iter is
+_DRAW_BLOCK = 1024
 
 
 class DivergenceError(RuntimeError):
@@ -165,11 +179,9 @@ class SolveTrace:
         return len(self.records)
 
 
-def _rel_change(X_old: np.ndarray, X_new: np.ndarray) -> float:
+def _rel_change(prev_norm: float, diff_norm: float) -> float:
     # change relative to the previous iterate; from the zero matrix the
     # change is infinite unless the new iterate is zero too
-    prev_norm = frobenius_norm(X_old)
-    diff_norm = frobenius_norm(X_new - X_old)
     if prev_norm == 0.0:
         return 0.0 if diff_norm == 0.0 else math.inf
     return diff_norm / prev_norm
@@ -178,27 +190,34 @@ def _rel_change(X_old: np.ndarray, X_new: np.ndarray) -> float:
 def _iht_step(obj, X, kept, batch, scale, k):
     """Scaled stochastic gradient step, then keep the k rows of largest norm.
 
-    X is zero off the kept rows; a one-row batch forms few rows (see above).
+    X is zero off the sorted kept rows and is not written.  A one-row batch
+    forms few rows (see above) and returns them: the rows it changes (the
+    kept rows and the new support among them), their values in X and in
+    the new iterate.  The dense path returns rows None and the whole new
+    iterate, as _gradmp_step does.  Both also return the new support and
+    the candidate size.
     """
     if len(batch) == 1 and len(kept) + k + 1 < obj.n:
-        i, kept_rows = batch[0], kept.as_array()
+        i = batch[0]
         a = obj.A[i]
         r = obj.A[i : i + 1] @ X - obj.Y[i : i + 1]
         score = np.abs(a)
-        score[kept_rows] = -1.0
-        rows = np.concatenate((kept_rows, np.argpartition(score, -k - 1)[-k - 1 :]))
-        B = X[rows] - scale * (a[rows, None] * r)
+        score[kept] = -1.0
+        rows = np.concatenate((kept, score.argpartition(-k - 1)[-k - 1 :]))
+        old = X.take(rows, 0)
+        B = old - scale * (a.take(rows)[:, None] * r)
         norms = row_norms(B)
-        lowest = np.partition(norms[len(kept_rows) :], 1)
+        lowest = np.partition(norms[len(kept) :], 1)
         if lowest[0] < lowest[1]:
             # rank by norm, then by index, as top_k_rows does
-            top = np.lexsort((rows, -norms))[:k]
-            X_new = np.zeros(X.shape)
-            X_new[rows[top]] = B[top]
-            return X_new, RowSupport(np.sort(rows[top]), obj.n), None
+            order = np.lexsort((rows, -norms))
+            B[order[k:]] = 0.0
+            support = rows[order[:k]]
+            support.sort()
+            return rows, old, B, support, None
     B = X - scale * obj.batch_grad(batch, X)
     support = top_k_rows(B, k)
-    return project_rows(B, support), support, None
+    return None, None, project_rows(B, support), support.as_array(), None
 
 
 def _gradmp_step(obj, X, kept, batch, scale, k):
@@ -208,18 +227,27 @@ def _gradmp_step(obj, X, kept, batch, scale, k):
     solution and are not an error.
     """
     matched = top_k_rows(obj.batch_grad(batch, X), 2 * k)
-    candidate = support_union(matched, kept)
+    candidate = support_union(matched, RowSupport(kept, obj.n))
     B = obj.restricted_argmin(candidate)
     support = top_k_rows(B, k)
-    return project_rows(B, support), support, candidate
+    return None, None, project_rows(B, support), support.as_array(), len(candidate)
 
 
 def _top_k_mask(B, k):
     # each row's k entries of largest magnitude, ranked as top_k_rows ranks
-    # the n x 1 block B[r][:, None]: ties keep the lower index
-    order = np.argsort(-np.abs(B), axis=1, kind="stable")
+    # the n x 1 block B[r][:, None] (a stable sort): a partition finds the
+    # k-th largest, and the entries tied with it are taken from the lowest
+    # index up.  NaN ranks last, as it sorts last.
     mask = np.zeros(B.shape, dtype=bool)
-    np.put_along_axis(mask, order[:, :k], True, axis=1)
+    if k == 0:
+        return mask
+    mag = np.fmax(np.abs(B), -1.0)
+    n = B.shape[1]
+    kth = np.partition(mag, n - k, axis=1)[:, n - k : n - k + 1]
+    np.greater(mag, kth, out=mask)
+    ties = mag == kth
+    short = k - np.count_nonzero(mask, axis=1, keepdims=True)
+    mask |= ties & (np.cumsum(ties, axis=1) <= short)
     return mask
 
 
@@ -245,6 +273,12 @@ _STEPS = {"mstoiht": _iht_step, "cstoiht": _iht_columns,
           "mstogradmp": _gradmp_step, "cstogradmp": _gradmp_columns}
 
 
+def _draws(sampler, rng, count):
+    # the count batch indices rng draws, drawn in bulk _DRAW_BLOCK at a time
+    for start in range(0, count, _DRAW_BLOCK):
+        yield from sampler.draws(rng, min(_DRAW_BLOCK, count - start)).tolist()
+
+
 def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     """Run algo's step on obj, or on all of its single-column problems.
 
@@ -257,41 +291,63 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     if columns:  # row j holds column j's iterate and kept rows
         X_cols, kept = np.zeros((obj.L, obj.n)), np.zeros((obj.L, obj.n), dtype=bool)
     else:
-        kept = RowSupport.empty(obj.n)
+        kept = np.empty(0, dtype=np.intp)
     plan = batch_partition(obj.component_count, cfg.batch_size)
     sampler = IndexSampler(cfg.batch_probabilities(plan.count))
-    f0 = obj.value(np.zeros((obj.n, obj.L)))
+    with np.errstate(divide="ignore"):  # a batch of probability 0 is never drawn
+        scales = (cfg.gamma / (plan.count * sampler.p)).tolist()
+    streams = [_draws(sampler, RngStream(cfg.seed, (j,)), cfg.max_iter)
+               for j in range(obj.L if columns else 1)]
+    X = np.zeros((obj.n, obj.L))
+    f0 = obj.value(X)
     gt = cfg.ground_truth
     if gt is not None:
         gt = np.asarray(gt, dtype=np.float64)
-        gt_norm = float(np.linalg.norm(gt))
-    rngs = [RngStream(cfg.seed, (j,)) for j in range(obj.L if columns else 1)]
-    changes, active = [math.inf] * len(rngs), list(range(len(rngs)))
-    X = np.zeros((obj.n, obj.L))
+        gt_norm, err = float(np.linalg.norm(gt)), X - gt
+    diff, written, norm = np.zeros(X.shape), slice(0), 0.0
+    changes, active = [math.inf] * len(streams), list(range(len(streams)))
     trace, elapsed = SolveTrace(), 0.0
     for t in range(1, cfg.max_iter + 1):
         tic = time.perf_counter()
-        draws = [sampler.draw(rngs[j]) for j in active]
-        batches = [plan.batches[i] for i in draws]
-        scales = [cfg.gamma / (plan.count * sampler.p[i]) for i in draws]
+        draws = [next(streams[j]) for j in active]
         if columns:
             X_old = X_cols[active]
             X_cols[active], kept[active], candidate_size = step(
-                obj, X_old, kept[active], active, batches, scales, cfg.k
+                obj, X_old, kept[active], active, [plan.batches[i] for i in draws],
+                [scales[i] for i in draws], cfg.k,
             )
             elapsed += time.perf_counter() - tic
             for r, j in enumerate(active):
-                changes[j] = _rel_change(X_old[r : r + 1], X_cols[j : j + 1])
-            X_new = X_cols.T.copy()
-            support, change = row_support(X_new), _rel_change(X, X_new)
+                changes[j] = _rel_change(
+                    frobenius_norm(X_old[r : r + 1]),
+                    frobenius_norm(X_cols[j : j + 1] - X_old[r : r + 1]),
+                )
+            rows, new = None, X_cols.T.copy()
         else:
-            X_new, kept, cand = step(obj, X, kept, batches[0], scales[0], cfg.k)
+            i = draws[0]
+            rows, old, new, kept, candidate_size = step(
+                obj, X, kept, plan.batches[i], scales[i], cfg.k
+            )
+            if rows is not None:
+                X[rows] = new
             elapsed += time.perf_counter() - tic
-            changes[0] = change = _rel_change(X, X_new)
-            support, candidate_size = kept, None if cand is None else len(cand)
+        if rows is None:  # new is the whole new iterate
+            diff, X, written = new - X, new, slice(None)
+            if gt is not None:
+                err = X - gt
+        else:
+            diff[written] = 0.0
+            diff[rows], written = new - old, rows
+            if gt is not None:
+                err[rows] = new - gt.take(rows, 0)
+        support = row_support(X) if columns else kept
+        prev_norm, norm = norm, frobenius_norm(X)
+        change = _rel_change(prev_norm, frobenius_norm(diff))
+        if not columns:
+            changes[0] = change
         active = [j for j in active if not changes[j] < cfg.tol]
 
-        fval = obj.restricted_value(X_new, support)
+        fval = obj.restricted_value(X, support)
         if not math.isfinite(fval):
             raise DivergenceError(
                 f"objective became non-finite ({fval}); the step size is likely "
@@ -304,12 +360,11 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
                 f"times its initial value {f0:.3e}; aborting as divergent",
                 trace.records,
             )
-        rel = None if gt is None else frobenius_norm(X_new - gt) / gt_norm
+        rel = None if gt is None else frobenius_norm(err) / gt_norm
         trace.records.append(IterationRecord(
             iteration=t, elapsed_s=elapsed, objective=fval, step_rel_change=change,
             rel_err=rel, support_size=len(support), candidate_size=candidate_size,
         ))
-        X = X_new
         if not active:
             trace.stop_reason = "tolerance"
             break

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,11 +12,19 @@ from mmvgreedy import bench, cli
 from mmvgreedy.matio import load_jsm, save_jsm
 
 
+# the checkout's package directory, first on the subprocess's path, so the
+# CLI runs from this tree with or without the install
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
 def run_cli(*args):
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
     return subprocess.run(
         [sys.executable, "-m", "mmvgreedy", *map(str, args)],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 

@@ -1,7 +1,9 @@
 """The single-row IHT step against the dense step, bit for bit.
 
 At batch size 1 the step forms only the kept rows and the k + 1 other
-rows of largest |a_ij|.  Whatever it forms, its iterate and support must
+rows of largest |a_ij|.  It returns the rows it changes with their old
+and new values, or, on the dense path, the whole new iterate, and leaves
+X as it is.  Whatever it forms, the new iterate and the support must
 equal the dense X - scale * batch_grad, top_k_rows and project_rows,
 including the sign of every zero.  The draws force the cases that can
 break a shortcut: ties in |a_ij| (repeated and sign-flipped entries), a
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from mmvgreedy.bench import gaussian_sensing_matrix
 from mmvgreedy.linalg import RngStream
 from mmvgreedy.objective import MmvObjective
-from mmvgreedy.solvers import _iht_step
+from mmvgreedy.solvers import SolverConfig, _iht_step, mstoiht
 from mmvgreedy.sparsity import RowSupport, project_rows, top_k_rows
 
 # few distinct magnitudes, so drawn rows repeat |a_ij| often
@@ -44,7 +46,7 @@ def single_row_steps(draw):
     if draw(st.booleans()):  # zero residual on the drawn row
         Y[i] = (A[i : i + 1] @ X)[0]
     scale = draw(st.sampled_from([0.5, 1.0, 1.7, 100.0]))
-    return MmvObjective(A, Y), X, RowSupport(kept, n), i, scale, k
+    return MmvObjective(A, Y), X, np.array(kept, dtype=np.intp), i, scale, k
 
 
 def _dense_step(obj, X, i, scale, k):
@@ -54,12 +56,31 @@ def _dense_step(obj, X, i, scale, k):
 
 
 def _assert_same_step(obj, X, kept, i, scale, k):
-    X_new, support, candidate = _iht_step(obj, X, kept, (i,), scale, k)
+    X_before = X.copy()
+    rows, old, new, support, candidate = _iht_step(obj, X, kept, (i,), scale, k)
     X_ref, support_ref = _dense_step(obj, X, i, scale, k)
+    assert X.tobytes() == X_before.tobytes()
     assert candidate is None
-    assert support == support_ref
-    assert X_new.shape == X_ref.shape
-    assert X_new.tobytes() == X_ref.tobytes()
+    assert support.dtype == np.intp
+    assert support.tolist() == support_ref.as_array().tolist()
+    assert _written(X.copy(), rows, new).tobytes() == X_ref.tobytes()
+    if rows is not None:
+        # the changed rows cover the old and the new support
+        assert np.isin(kept, rows).all() and np.isin(support, rows).all()
+        assert old.tobytes() == X[rows].tobytes()
+
+
+def _written(X, rows, new):
+    # the new iterate: X with the changed rows written, or the whole of new
+    if rows is None:
+        return new
+    X[rows] = new
+    return X
+
+
+def _advance(obj, X, kept, i, scale, k):
+    rows, _, new, kept, _ = _iht_step(obj, X, kept, (i,), scale, k)
+    return _written(X, rows, new), kept
 
 
 @settings(max_examples=400)
@@ -74,11 +95,11 @@ def test_single_row_step_at_acceptance_shape():
     rng = RngStream(3, (0,))
     A = gaussian_sensing_matrix(100, 200, rng)
     obj = MmvObjective(A, rng.standard_normal((100, 40)))
-    X, kept = np.zeros((200, 40)), RowSupport.empty(200)
+    X, kept = np.zeros((200, 40)), np.empty(0, dtype=np.intp)
     for t in range(60):
         i = t % 100
         _assert_same_step(obj, X, kept, i, 100.0, 5)
-        X, kept, _ = _iht_step(obj, X, kept, (i,), 100.0, 5)
+        X, kept = _advance(obj, X, kept, i, 100.0, 5)
 
 
 def test_single_row_step_forms_no_dense_gradient(monkeypatch):
@@ -90,7 +111,32 @@ def test_single_row_step_forms_no_dense_gradient(monkeypatch):
         raise AssertionError("the dense gradient was formed")
 
     monkeypatch.setattr(MmvObjective, "batch_grad", dense)
-    X, kept = np.zeros((50, 3)), RowSupport.empty(50)
+    X, kept = np.zeros((50, 3)), np.empty(0, dtype=np.intp)
     for i in range(10):
-        X, kept, _ = _iht_step(obj, X, kept, (i,), 10.0, 4)
+        X, kept = _advance(obj, X, kept, i, 10.0, 4)
     assert len(kept) == 4
+
+
+def test_joint_single_row_solve_builds_no_row_support(monkeypatch):
+    # the engine keeps supports as index arrays, and still evaluates the
+    # objective through restricted_value once per iteration
+    rng = RngStream(5, (0,))
+    A = gaussian_sensing_matrix(100, 200, rng)
+    obj = MmvObjective(A, rng.standard_normal((100, 40)))
+    calls = {"support": 0, "value": 0}
+    real_init, real_value = RowSupport.__init__, MmvObjective.restricted_value
+
+    def init(self, *args):
+        calls["support"] += 1
+        real_init(self, *args)
+
+    def value(self, X, support):
+        calls["value"] += 1
+        assert isinstance(support, np.ndarray) and support.dtype == np.intp
+        return real_value(self, X, support)
+
+    monkeypatch.setattr(RowSupport, "__init__", init)
+    monkeypatch.setattr(MmvObjective, "restricted_value", value)
+    trace = mstoiht(obj, SolverConfig(k=5, max_iter=100, tol=0.0, seed=5))
+    assert trace.iterations == 100
+    assert calls == {"support": 0, "value": 100}

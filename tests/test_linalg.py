@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import mmvgreedy.linalg as linalg
 from mmvgreedy.linalg import (
+    IndexSampler,
     RngStream,
     draw_index,
     frobenius_norm,
@@ -227,6 +228,66 @@ def test_draw_index_skips_zero_probability():
     rng = RngStream(4, (0,))
     p = [0.0, 1.0, 0.0]
     assert all(draw_index(p, rng) == 1 for _ in range(50))
+
+
+# weights with zero bins, point masses and trailing zeros; normalized, some
+# (ten 0.1s, say) have a cumulative sum that ends one ulp below 1
+WEIGHTS = st.lists(st.sampled_from([0.0, 0.0, 1.0, 2.0, 3.0, 7.0, 0.1]), min_size=1,
+                   max_size=12).filter(any)
+
+
+def _probabilities(weights):
+    w = np.array(weights)
+    return w / w.sum()
+
+
+@settings(max_examples=200)
+@given(WEIGHTS, st.integers(0, 2**32 - 1), st.integers(1, 300))
+def test_bulk_draws_equal_successive_draws(weights, seed, count):
+    sampler = IndexSampler(_probabilities(weights))
+    bulk = sampler.draws(RngStream(seed, (0,)), count)
+    one_by_one = RngStream(seed, (0,))
+    assert bulk.tolist() == [sampler.draw(one_by_one) for _ in range(count)]
+
+
+class _Scripted:
+    """A generator stand-in that returns the given doubles in order."""
+
+    def __init__(self, values):
+        self._values = list(values)
+
+    def random(self, count=None):
+        if count is None:
+            return self._values.pop(0)
+        out, self._values = self._values[:count], self._values[count:]
+        return np.array(out)
+
+
+@settings(max_examples=200)
+@given(st.one_of(WEIGHTS, st.just([0.1] * 10 + [0.0, 0.0])), st.data())
+def test_bulk_draws_take_the_last_nonzero_bin_beyond_the_cumulative_sum(weights, data):
+    # uniforms at, just below and beyond every cumulative value, up to the
+    # largest double a generator returns; beyond the last one, which may
+    # fall short of 1 by rounding, both paths take the last nonzero bin
+    p = _probabilities(weights)
+    cum = np.cumsum(p)
+    edges = [0.0, 1.0 - 2.0**-53, *cum[cum < 1.0], *np.nextafter(cum, 0.0)]
+    values = data.draw(st.lists(st.sampled_from(edges), min_size=1, max_size=40))
+    sampler = IndexSampler(p)
+    bulk, one_by_one = RngStream(0, (0,)), RngStream(0, (0,))
+    bulk._gen, one_by_one._gen = _Scripted(values), _Scripted(values)
+    expected = [sampler.draw(one_by_one) for _ in values]
+    assert sampler.draws(bulk, len(values)).tolist() == expected
+    last = int(np.flatnonzero(p)[-1])
+    for u, idx in zip(values, expected):
+        assert p[idx] > 0
+        if u >= cum[-1]:
+            assert idx == last
+
+
+def test_ten_tenths_end_below_one():
+    # the case the last-nonzero-bin rule is for
+    assert np.cumsum(_probabilities([0.1] * 10 + [0.0, 0.0]))[-1] < 1.0
 
 
 def test_rng_stream_identical_ids_identical_values():

@@ -21,12 +21,14 @@ determinism, and at L = 1 the concatenated solvers equal the joint ones.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmvgreedy.bench import gaussian_sensing_matrix, row_sparse_signal
 from mmvgreedy.linalg import RngStream
 from mmvgreedy.objective import MmvObjective
+from mmvgreedy import solvers
 from mmvgreedy.solvers import SOLVERS, DivergenceError, SolverConfig
 from mmvgreedy.sparsity import row_support
 from oracle_solvers import ORACLES
@@ -168,3 +170,51 @@ def test_joint_iht_matches_the_reference_exactly_at_acceptance_shape(
     assert _untimed(records) == _untimed(ref_records)
     assert stop == ref_stop
     np.testing.assert_array_equal(estimate, ref_estimate)
+
+
+def _acceptance_instance(seed, k, sigma):
+    rng = RngStream(seed, (0,))
+    A = gaussian_sensing_matrix(100, 200, rng)
+    X_star = row_sparse_signal(200, 40, k, rng)
+    return MmvObjective(A, A @ X_star + sigma * rng.standard_normal((100, 40))), X_star
+
+
+@pytest.mark.parametrize("seed", [20260810, 5])
+@pytest.mark.parametrize(
+    "algo, k, batch_size, sigma, max_iter",
+    [
+        # the noise sweep's path: one tall 40-column solve per iteration
+        ("mstogradmp", 20, 1, 0.02, 30),
+        ("mstogradmp", 20, 1, 0.08, 30),
+        # the dense IHT path, which a batch of more than one row takes
+        ("mstoiht", 5, 10, 0.0, 200),
+    ],
+)
+def test_joint_solvers_match_the_reference_exactly_at_acceptance_shape(
+    seed, algo, k, batch_size, sigma, max_iter
+):
+    obj, X_star = _acceptance_instance(seed, k, sigma)
+    cfg = SolverConfig(k=k, batch_size=batch_size, max_iter=max_iter, tol=1e-6,
+                       seed=seed, ground_truth=X_star)
+    records, estimate, stop = _run(SOLVERS[algo], obj, cfg)
+    ref_records, ref_estimate, ref_stop = _run(ORACLES[algo], obj, cfg)
+    assert _untimed(records) == _untimed(ref_records)
+    assert stop == ref_stop
+    np.testing.assert_array_equal(estimate, ref_estimate)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+def test_bulk_draws_cross_their_blocks_unchanged(monkeypatch, algo, block):
+    # the streams draw _DRAW_BLOCK uniforms per bulk call; a run that
+    # crosses many blocks draws what one that stays in one block does
+    rng = RngStream(11, (0,))
+    A = gaussian_sensing_matrix(20, 30, rng)
+    X_star = row_sparse_signal(30, 3, 3, rng)
+    obj = MmvObjective(A, A @ X_star + 0.05 * rng.standard_normal((20, 3)))
+    cfg = SolverConfig(k=3, max_iter=25, tol=0.0, seed=11, ground_truth=X_star)
+    whole = _run(SOLVERS[algo], obj, cfg)
+    monkeypatch.setattr(solvers, "_DRAW_BLOCK", block)
+    blocks = _run(SOLVERS[algo], obj, cfg)
+    assert _untimed(blocks[0]) == _untimed(whole[0]) and blocks[2] == whole[2]
+    np.testing.assert_array_equal(blocks[1], whole[1])
