@@ -32,7 +32,7 @@ from .analysis import (
     rip_constant,
 )
 from .linalg import RngStream
-from .solvers import SOLVERS, DivergenceError
+from .solvers import SOLVERS
 
 
 class UsageError(Exception):
@@ -255,7 +255,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[getattr(args, "analysis", args.command)](args)
-    except (UsageError, DivergenceError, ValueError, OSError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1 if isinstance(exc, UsageError) else 2
 

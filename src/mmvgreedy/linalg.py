@@ -155,12 +155,8 @@ class RngStream:
         """Derive an independent child stream by extending the id tuple."""
         return RngStream(self.master_seed, self.stream_id + tuple(ids))
 
-    def uniform(self) -> float:
-        """One double in [0, 1)."""
-        return float(self._gen.random())
-
     def uniforms(self, count: int) -> np.ndarray:
-        """The next count doubles, the values count uniform() calls return."""
+        """The next count doubles in [0, 1)."""
         return self._gen.random(count)
 
     def standard_normal(self, shape) -> np.ndarray:
@@ -198,11 +194,10 @@ class IndexSampler:
         self._last = int(np.flatnonzero(p > 0)[-1])
 
     def draw(self, rng: RngStream) -> int:
-        idx = int(self._cum.searchsorted(rng.uniform(), side="right"))
-        return idx if idx < self._cum.size else self._last
+        return int(self.draws(rng, 1)[0])
 
     def draws(self, rng: RngStream, count: int) -> np.ndarray:
-        """The indices of count successive draw(rng) calls, in one bulk draw."""
+        """count inverse-CDF draws, mapped from rng's next count uniforms."""
         idx = self._cum.searchsorted(rng.uniforms(count), side="right")
         idx[idx == self._cum.size] = self._last
         return idx

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix, least_squares_solve
+from .linalg import as_matrix, least_squares_solve, require_finite
 from .sparsity import RowSupport
 
 __all__ = ["MmvObjective", "BatchPlan", "batch_partition"]
@@ -53,29 +53,12 @@ class MmvObjective:
     """Least-squares misfit of jointly measured signals, one component per row."""
 
     def __init__(self, A, Y):
-        self.A = as_matrix(A, "A")
-        self.Y = as_matrix(Y, "Y")
-        if self.A.shape[0] != self.Y.shape[0]:
-            raise ValueError(
-                f"A has {self.A.shape[0]} rows but Y has {self.Y.shape[0]}"
-            )
-
-    @property
-    def m(self) -> int:
-        return self.A.shape[0]
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[1]
-
-    @property
-    def L(self) -> int:
-        return self.Y.shape[1]
-
-    @property
-    def component_count(self) -> int:
-        # one component per sensing row
-        return self.A.shape[0]
+        self.A = require_finite(as_matrix(A, "A"), "A")
+        self.Y = require_finite(as_matrix(Y, "Y"), "Y")
+        (self.m, self.n), self.L = self.A.shape, self.Y.shape[1]
+        if self.Y.shape[0] != self.m:
+            raise ValueError(f"A has {self.m} rows but Y has {self.Y.shape[0]}")
+        self.component_count = self.m  # one component per sensing row
 
     def _check_iterate(self, X) -> np.ndarray:
         X = as_matrix(X, "X")
@@ -122,15 +105,14 @@ class MmvObjective:
         return (A_rows.T @ r / idx.size).ravel()
 
     def _support_rows(self, support) -> np.ndarray:
-        # a RowSupport, or the sorted array of one's rows
+        # a RowSupport, or the sorted array of one's rows; the argmins'
+        # least_squares_solve rejects an empty one
         if isinstance(support, RowSupport):
             if support.ambient != self.n:
                 raise ValueError(
                     f"support ambient {support.ambient} != signal length {self.n}"
                 )
-            support = support.as_array()
-        if len(support) == 0:
-            raise ValueError("support must be nonempty")
+            return support.as_array()
         return support
 
     def restricted_argmin(self, support) -> np.ndarray:
@@ -164,6 +146,6 @@ class MmvObjective:
         support is a RowSupport or the sorted array of one's rows.
         """
         X = self._check_iterate(X)
-        idx = support.as_array() if isinstance(support, RowSupport) else support
+        idx = self._support_rows(support)
         R = self.Y - self.A[:, idx] @ X.take(idx, 0)
         return 0.5 / self.m * float(np.vdot(R, R))

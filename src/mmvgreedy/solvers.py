@@ -50,7 +50,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import IndexSampler, RngStream, frobenius_norm, require_int, row_norms
+from .linalg import (
+    IndexSampler, RngStream, as_matrix, frobenius_norm, require_finite, require_int,
+    row_norms,
+)
 from .linalg import draw_index  # noqa: F401  the benchmark's spans look it up here
 from .objective import MmvObjective, batch_partition
 from .sparsity import (
@@ -101,8 +104,8 @@ class SolverConfig:
 
     probabilities is either "uniform" or an explicit distribution over the
     batches produced by the batch partition (it must sum to 1).  The
-    ground truth, when given, must be a nonzero n x L matrix and is only
-    used to record per-iteration relative errors in the trace.
+    ground truth, when given, must be a finite, nonzero n x L matrix and is
+    only used to record per-iteration relative errors in the trace.
     """
 
     k: int
@@ -125,6 +128,10 @@ class SolverConfig:
             raise ValueError(f"tol must be nonnegative, got {self.tol}")
         if isinstance(self.probabilities, str) and self.probabilities != "uniform":
             raise ValueError(f"unknown probabilities setting {self.probabilities!r}")
+        if self.ground_truth is not None:
+            self.ground_truth = require_finite(
+                as_matrix(self.ground_truth, "ground_truth"), "ground_truth"
+            )
 
     def check_problem(self, algo: str, n: int, m: int, L: int) -> None:
         """Raise ValueError unless solver algo can run on n x L, m components."""
@@ -136,11 +143,11 @@ class SolverConfig:
             )
         if self.batch_size > m:
             raise ValueError(f"batch_size={self.batch_size} exceeds m={m} components")
-        if self.ground_truth is not None:
-            gt = np.asarray(self.ground_truth, dtype=np.float64)
+        gt = self.ground_truth
+        if gt is not None:
             if gt.shape != (n, L):
                 raise ValueError(f"ground_truth must be {n}x{L}, got {gt.shape}")
-            if np.linalg.norm(gt) == 0:
+            if frobenius_norm(gt) == 0:
                 raise ValueError("ground_truth must be nonzero")
 
     def batch_probabilities(self, d: int) -> np.ndarray:
@@ -269,8 +276,9 @@ def _gradmp_columns(obj, X, kept, cols, batches, scales, k):
     return np.where(keep, B, 0.0), keep, int(cand.sum(axis=1).max())
 
 
-_STEPS = {"mstoiht": _iht_step, "cstoiht": _iht_columns,
-          "mstogradmp": _gradmp_step, "cstogradmp": _gradmp_columns}
+# each solver's step, and whether it runs on the L single-column problems
+_STEPS = {"mstoiht": (_iht_step, False), "cstoiht": (_iht_columns, True),
+          "mstogradmp": (_gradmp_step, False), "cstogradmp": (_gradmp_columns, True)}
 
 
 def _draws(sampler, rng, count):
@@ -287,7 +295,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     iterate, which may exceed k while the columns disagree.
     """
     cfg.check_problem(algo, obj.n, obj.component_count, obj.L)
-    step, columns = _STEPS[algo], algo in ("cstoiht", "cstogradmp")
+    step, columns = _STEPS[algo]
     if columns:  # row j holds column j's iterate and kept rows
         X_cols, kept = np.zeros((obj.L, obj.n)), np.zeros((obj.L, obj.n), dtype=bool)
     else:
@@ -302,8 +310,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     f0 = obj.value(X)
     gt = cfg.ground_truth
     if gt is not None:
-        gt = np.asarray(gt, dtype=np.float64)
-        gt_norm, err = float(np.linalg.norm(gt)), X - gt
+        gt_norm, err = frobenius_norm(gt), X - gt
     diff, written, norm = np.zeros(X.shape), slice(0), 0.0
     changes, active = [math.inf] * len(streams), list(range(len(streams)))
     trace, elapsed = SolveTrace(), 0.0

@@ -61,6 +61,24 @@ def test_column_kernels_match_the_frozen_copies(problem, data):
 
 
 @settings(max_examples=150)
+@given(problems(), st.data())
+def test_one_support_rule_for_a_row_support_and_its_array(problem, data):
+    obj, rng = problem
+    support = _support(data.draw, obj)
+    rows = support.as_array()
+    j = data.draw(st.integers(0, obj.L - 1))
+    X = np.zeros((obj.n, obj.L))
+    X[rows] = rng.standard_normal((rows.size, obj.L))
+    np.testing.assert_array_equal(
+        obj.restricted_argmin(support), obj.restricted_argmin(rows)
+    )
+    np.testing.assert_array_equal(
+        obj.restricted_column_argmin(support, j), obj.restricted_column_argmin(rows, j)
+    )
+    assert obj.restricted_value(X, support) == obj.restricted_value(X, rows)
+
+
+@settings(max_examples=150)
 @given(problems())
 def test_full_grad_is_the_textbook_gradient(problem):
     obj, rng = problem

@@ -293,18 +293,18 @@ def test_ten_tenths_end_below_one():
 def test_rng_stream_identical_ids_identical_values():
     a = RngStream(1234, (7, 8))
     b = RngStream(1234, (7, 8))
-    assert [a.uniform() for _ in range(20)] == [b.uniform() for _ in range(20)]
+    assert a.uniforms(20).tolist() == b.uniforms(20).tolist()
     np.testing.assert_array_equal(a.standard_normal(10), b.standard_normal(10))
     # an int stream id is the one-element tuple
     c, d = RngStream(1234, 5), RngStream(1234, (5,))
     assert c.stream_id == (5,)
-    assert [c.uniform() for _ in range(5)] == [d.uniform() for _ in range(5)]
+    assert c.uniforms(5).tolist() == d.uniforms(5).tolist()
 
 
 def test_rng_stream_distinct_ids_differ():
     a = RngStream(1234, (0,))
     b = RngStream(1234, (1,))
-    assert [a.uniform() for _ in range(5)] != [b.uniform() for _ in range(5)]
+    assert a.uniforms(5).tolist() != b.uniforms(5).tolist()
 
 
 def test_rng_substream_derivation():
@@ -312,4 +312,4 @@ def test_rng_substream_derivation():
     child = parent.substream(5)
     again = RngStream(7, (2, 5))
     assert child.stream_id == (2, 5)
-    assert [child.uniform() for _ in range(5)] == [again.uniform() for _ in range(5)]
+    assert child.uniforms(5).tolist() == again.uniforms(5).tolist()

@@ -209,10 +209,34 @@ def test_restricted_argmin_support_containment():
 
 def test_restricted_argmin_empty_support_rejected():
     obj, _ = random_objective(15)
-    with pytest.raises(ValueError):
-        obj.restricted_argmin(RowSupport((), obj.n))
+    for empty in (RowSupport((), obj.n), np.empty(0, dtype=np.intp)):
+        with pytest.raises(ValueError):
+            obj.restricted_argmin(empty)
+        with pytest.raises(ValueError):
+            obj.restricted_column_argmin(empty, 0)
     with pytest.raises(ValueError, match="ambient"):
         obj.restricted_argmin(RowSupport((0,), obj.n + 1))
+
+
+def test_restricted_value_takes_the_same_support_rule():
+    obj, rng = random_objective(17)
+    X = np.zeros((obj.n, obj.L))
+    # X supported on no rows is the zero matrix, whose value is F(0)
+    for empty in (RowSupport((), obj.n), np.empty(0, dtype=np.intp)):
+        assert obj.restricted_value(X, empty) == obj.value(X)
+    X[0] = rng.standard_normal(obj.L)
+    with pytest.raises(ValueError, match="ambient"):
+        obj.restricted_value(X, RowSupport((0,), obj.n + 1))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name", ["A", "Y"])
+def test_non_finite_data_rejected_before_any_solve(name, bad):
+    rng = RngStream(19, (0,))
+    data = {"A": rng.standard_normal((8, 12)), "Y": rng.standard_normal((8, 3))}
+    data[name][3, 1] = bad
+    with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+        MmvObjective(data["A"], data["Y"])  # so no solve can start on it
 
 
 def test_restricted_value_matches_full_value():

@@ -257,6 +257,17 @@ def test_config_validation():
         SolverConfig(k=2, probabilities="importance")  # before any problem
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_ground_truth_rejected_when_the_config_is_built(bad):
+    obj, X_star = planted_problem(30, n=20, m=10, L=2, k=3)
+    X_star[4, 1] = bad
+    with pytest.raises(ValueError, match="ground_truth contains non-finite"):
+        SolverConfig(k=3, seed=0, ground_truth=X_star)
+    # so no solve records a NaN rel_err
+    with pytest.raises(ValueError, match="ground_truth contains non-finite"):
+        mstoiht(obj, SolverConfig(k=3, max_iter=5, seed=0, ground_truth=X_star))
+
+
 def test_ground_truth_shape_checked():
     obj, _ = planted_problem(29, n=20, m=10, L=2, k=3)
     cfg = SolverConfig(k=3, max_iter=5, seed=0, ground_truth=np.zeros((3, 3)))
