@@ -1,6 +1,5 @@
 """Convergence diagnostics: contraction coefficients, restricted isometry
-estimation, restricted convexity/smoothness verification, and the error
-metric used by the benchmarks.
+estimation, and restricted convexity/smoothness verification.
 
 The contraction formulas are pure arithmetic in the restricted convexity
 and smoothness constants of the objective.  They are only meaningful in
@@ -32,7 +31,6 @@ __all__ = [
     "rip_constant",
     "RestrictedPropertyReport",
     "verify_rsc_rss",
-    "relative_error",
 ]
 
 
@@ -376,15 +374,3 @@ def verify_rsc_rss(
         smoothness_violations=smoothness_violations,
         rho_minus_observed=rho_minus_observed, rho_plus_observed=rho_plus_observed,
     )
-
-
-def relative_error(X, X_star) -> float:
-    """||X - X_star||_F / ||X_star||_F."""
-    X = as_matrix(X, "X")
-    X_star = as_matrix(X_star, "X_star")
-    if X.shape != X_star.shape:
-        raise ValueError(f"shape mismatch: {X.shape} vs {X_star.shape}")
-    denom = float(np.linalg.norm(X_star))
-    if denom == 0.0:
-        raise ValueError("X_star must be nonzero")
-    return float(np.linalg.norm(X - X_star)) / denom

@@ -16,23 +16,26 @@ objective components per problem and applies one step to its iterate:
   kept support, minimize the objective restricted to that candidate set
   (at most 3k rows), then keep the k best rows of the minimizer.
 
-The joint solvers run the step on one problem, the whole n x L matrix.
-The concatenated solvers step the L single-column problems (A, Y[:, j]),
-each with its own substream j, kept rows and tolerance stop, at once on
-an L x n stack whose row j, column j's iterate, is one contiguous operand
-ranked as top_k_rows ranks an n x 1 block: at L = 1 both families compute
+Every step has one contract, step(obj, X, kept, cols, batches, scales, k)
+-> (rows, old, new, kept, candidate_size).  The joint solvers step one
+problem, the whole n x L matrix: cols is [0].  The concatenated solvers
+step the L single-column problems (A, Y[:, j]), each with its own
+substream j, kept rows (row j of an L x n mask) and tolerance stop, at
+once on the stack X.T[cols]: each row is one contiguous operand, ranked
+as top_k_rows ranks an n x 1 block, so at L = 1 both families compute
 the same bits.  The trace at iteration t holds every column's t-th iterate.
 
-The one-row IHT step returns the rows it changes, with their old and new
-values, and the engine writes just those rows: into the iterate, and into
-two n x L buffers that hold X - X_old and X - ground_truth everywhere.
-Each norm of the trace is then the same dense reduction over the same
-values as a norm of a freshly formed difference, so the bits do not move.
-A dense step (larger batches, GradMP, the concatenated stack) returns its
-whole new iterate and the differences are formed afresh.  ||X_old|| is
-the previous iteration's ||X||.  Supports are sorted index arrays, and
-each stream draws its batches in bulk: the same uniforms, mapped the same
-way, as one draw at a time.
+rows names the part of X that the step changed (the one-row IHT step's
+rows, or the columns cols), old and new its values, and the engine writes
+just that part: into the iterate, and into two n x L buffers that hold
+X - X_old and X - ground_truth everywhere.  Each norm of the trace is
+then the same dense reduction over the same values as a norm of a freshly
+formed difference, so the bits do not move.  A dense joint step (larger
+batches, GradMP) returns rows None and its whole new iterate, and the
+differences are formed afresh, which costs less than fancy-indexed writes
+of 2k rows.  ||X_old|| is the previous iteration's ||X||.  Supports are
+sorted index arrays, and each stream draws its batches in bulk: the same
+uniforms, mapped the same way, as one draw at a time.
 
 All solvers start from the zero matrix, stop when the relative iterate
 change drops below the tolerance (every column's change, for the
@@ -79,8 +82,6 @@ __all__ = [
 
 # abort when the objective blows up past this multiple of its initial value
 _DIVERGENCE_FACTOR = 1e12
-# the solvers that take the GradMP step, which matches 2k rows
-_MATCHING_PURSUITS = ("mstogradmp", "cstogradmp")
 # uniforms a stream draws per bulk call: few calls, and memory bounded
 # however large max_iter is
 _DRAW_BLOCK = 1024
@@ -137,7 +138,7 @@ class SolverConfig:
         """Raise ValueError unless solver algo can run on n x L, m components."""
         if self.k > n:
             raise ValueError(f"sparsity k={self.k} exceeds signal length n={n}")
-        if algo in _MATCHING_PURSUITS and 2 * self.k > n:
+        if _STEPS[algo][2] and 2 * self.k > n:
             raise ValueError(
                 f"{algo} matches 2k rows and needs 2k <= n, got k={self.k}, n={n}"
             )
@@ -194,16 +195,16 @@ def _rel_change(prev_norm: float, diff_norm: float) -> float:
     return diff_norm / prev_norm
 
 
-def _iht_step(obj, X, kept, batch, scale, k):
+def _iht_step(obj, X, kept, cols, batches, scales, k):
     """Scaled stochastic gradient step, then keep the k rows of largest norm.
 
-    X is zero off the sorted kept rows and is not written.  A one-row batch
-    forms few rows (see above) and returns them: the rows it changes (the
-    kept rows and the new support among them), their values in X and in
-    the new iterate.  The dense path returns rows None and the whole new
-    iterate, as _gradmp_step does.  Both also return the new support and
-    the candidate size.
+    The joint step, on cols [0]: X is zero off the sorted kept rows and is
+    not written.  A one-row batch forms few rows (see above) and returns
+    them as rows, with their values in X and in the new iterate; the dense
+    path returns rows None and the whole new iterate, as _gradmp_step
+    does.  Both also return the new support and the candidate size.
     """
+    batch, scale = batches[0], scales[0]
     if len(batch) == 1 and len(kept) + k + 1 < obj.n:
         i = batch[0]
         a = obj.A[i]
@@ -227,13 +228,13 @@ def _iht_step(obj, X, kept, batch, scale, k):
     return None, None, project_rows(B, support), support.as_array(), None
 
 
-def _gradmp_step(obj, X, kept, batch, scale, k):
+def _gradmp_step(obj, X, kept, cols, batches, scales, k):
     """Match 2k gradient rows, minimize on them and the kept rows, keep k.
 
     Rank-deficient restricted solves fall back to the minimum-norm
     solution and are not an error.
     """
-    matched = top_k_rows(obj.batch_grad(batch, X), 2 * k)
+    matched = top_k_rows(obj.batch_grad(batches[0], X), 2 * k)
     candidate = support_union(matched, RowSupport(kept, obj.n))
     B = obj.restricted_argmin(candidate)
     support = top_k_rows(B, k)
@@ -259,26 +260,31 @@ def _top_k_mask(B, k):
 
 
 def _iht_columns(obj, X, kept, cols, batches, scales, k):
-    """The IHT step of each column problem cols[r], whose iterate is X[r]."""
-    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, X)])
-    B = X - np.array(scales)[:, None] * G
-    keep = _top_k_mask(B, k)
-    return np.where(keep, B, 0.0), keep, None
+    """The IHT step of each column problem j in cols, whose iterate is X[:, j]."""
+    old = X.T[cols]
+    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, old)])
+    B = old - np.array(scales)[:, None] * G
+    kept[cols] = keep = _top_k_mask(B, k)
+    return (slice(None), cols), old.T, np.where(keep, B, 0.0).T, kept, None
 
 
 def _gradmp_columns(obj, X, kept, cols, batches, scales, k):
-    """The GradMP step of each column problem cols[r], whose iterate is X[r]."""
-    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, X)])
-    cand = _top_k_mask(G, 2 * k) | kept
+    """The GradMP step of each column problem j in cols, whose iterate is X[:, j]."""
+    old = X.T[cols]
+    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, old)])
+    cand = _top_k_mask(G, 2 * k) | kept[cols]
     B = np.array([obj.restricted_column_argmin(np.flatnonzero(c), j)
                   for c, j in zip(cand, cols)])
-    keep = _top_k_mask(B, k)
-    return np.where(keep, B, 0.0), keep, int(cand.sum(axis=1).max())
+    kept[cols] = keep = _top_k_mask(B, k)
+    new = np.where(keep, B, 0.0).T
+    return (slice(None), cols), old.T, new, kept, int(cand.sum(axis=1).max())
 
 
-# each solver's step, and whether it runs on the L single-column problems
-_STEPS = {"mstoiht": (_iht_step, False), "cstoiht": (_iht_columns, True),
-          "mstogradmp": (_gradmp_step, False), "cstogradmp": (_gradmp_columns, True)}
+# each solver's step, whether it runs on the L single-column problems, and
+# whether it matches 2k rows, which needs 2k <= n
+_STEPS = {"mstoiht": (_iht_step, False, False), "cstoiht": (_iht_columns, True, False),
+          "mstogradmp": (_gradmp_step, False, True),
+          "cstogradmp": (_gradmp_columns, True, True)}
 
 
 def _draws(sampler, rng, count):
@@ -295,11 +301,8 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     iterate, which may exceed k while the columns disagree.
     """
     cfg.check_problem(algo, obj.n, obj.component_count, obj.L)
-    step, columns = _STEPS[algo]
-    if columns:  # row j holds column j's iterate and kept rows
-        X_cols, kept = np.zeros((obj.L, obj.n)), np.zeros((obj.L, obj.n), dtype=bool)
-    else:
-        kept = np.empty(0, dtype=np.intp)
+    step, columns, _ = _STEPS[algo]
+    kept = np.zeros((obj.L, obj.n), bool) if columns else np.empty(0, np.intp)
     plan = batch_partition(obj.component_count, cfg.batch_size)
     sampler = IndexSampler(cfg.batch_probabilities(plan.count))
     with np.errstate(divide="ignore"):  # a batch of probability 0 is never drawn
@@ -317,27 +320,13 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     for t in range(1, cfg.max_iter + 1):
         tic = time.perf_counter()
         draws = [next(streams[j]) for j in active]
-        if columns:
-            X_old = X_cols[active]
-            X_cols[active], kept[active], candidate_size = step(
-                obj, X_old, kept[active], active, [plan.batches[i] for i in draws],
-                [scales[i] for i in draws], cfg.k,
-            )
-            elapsed += time.perf_counter() - tic
-            for r, j in enumerate(active):
-                changes[j] = _rel_change(
-                    frobenius_norm(X_old[r : r + 1]),
-                    frobenius_norm(X_cols[j : j + 1] - X_old[r : r + 1]),
-                )
-            rows, new = None, X_cols.T.copy()
-        else:
-            i = draws[0]
-            rows, old, new, kept, candidate_size = step(
-                obj, X, kept, plan.batches[i], scales[i], cfg.k
-            )
-            if rows is not None:
-                X[rows] = new
-            elapsed += time.perf_counter() - tic
+        rows, old, new, kept, candidate_size = step(
+            obj, X, kept, active, [plan.batches[i] for i in draws],
+            [scales[i] for i in draws], cfg.k,
+        )
+        if rows is not None:
+            X[rows] = new
+        elapsed += time.perf_counter() - tic
         if rows is None:  # new is the whole new iterate
             diff, X, written = new - X, new, slice(None)
             if gt is not None:
@@ -346,7 +335,11 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
             diff[written] = 0.0
             diff[rows], written = new - old, rows
             if gt is not None:
-                err[rows] = new - gt.take(rows, 0)
+                err[rows] = new - gt[rows]
+        if columns:  # row r of old.T and new.T is column active[r]
+            for r, j in enumerate(active):
+                o, x = old.T[r : r + 1], new.T[r : r + 1]
+                changes[j] = _rel_change(frobenius_norm(o), frobenius_norm(x - o))
         support = row_support(X) if columns else kept
         prev_norm, norm = norm, frobenius_norm(X)
         change = _rel_change(prev_norm, frobenius_norm(diff))

@@ -11,7 +11,6 @@ from mmvgreedy.analysis import (
     contraction_cstoiht,
     contraction_mstogradmp,
     contraction_mstoiht,
-    relative_error,
     rip_constant,
     tolerance_mstogradmp,
     verify_rsc_rss,
@@ -331,14 +330,3 @@ def test_verify_rsc_rss_orthonormal_case():
     # quadratic gap for orthonormal columns: exactly (1/2m) ||diff||^2,
     # twice the certified rho_minus = 1/(2m)
     assert report.rho_minus_observed == pytest.approx(1.0 / obj.m, rel=1e-9)
-
-
-def test_relative_error_examples():
-    X = RngStream(51, (0,)).standard_normal((5, 3))
-    assert relative_error(X, X) == 0.0
-    assert relative_error(np.zeros_like(X), X) == pytest.approx(1.0, rel=1e-15)
-    assert relative_error(2 * X, X) == pytest.approx(1.0, rel=1e-15)
-    with pytest.raises(ValueError):
-        relative_error(X, np.zeros_like(X))
-    with pytest.raises(ValueError, match="shape mismatch"):
-        relative_error(X, X[:, :2])

@@ -1,9 +1,7 @@
 import json
 import math
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,19 +10,13 @@ from mmvgreedy import bench, cli
 from mmvgreedy.matio import load_jsm, save_jsm
 
 
-# the checkout's package directory, first on the subprocess's path, so the
-# CLI runs from this tree with or without the install
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
 def run_cli(*args):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=SRC if not path else SRC + os.pathsep + path)
+    # conftest puts the checkout's src first on PYTHONPATH, which the
+    # subprocess inherits
     return subprocess.run(
         [sys.executable, "-m", "mmvgreedy", *map(str, args)],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 

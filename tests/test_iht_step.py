@@ -57,7 +57,9 @@ def _dense_step(obj, X, i, scale, k):
 
 def _assert_same_step(obj, X, kept, i, scale, k):
     X_before = X.copy()
-    rows, old, new, support, candidate = _iht_step(obj, X, kept, (i,), scale, k)
+    rows, old, new, support, candidate = _iht_step(
+        obj, X, kept, [0], [(i,)], [scale], k
+    )
     X_ref, support_ref = _dense_step(obj, X, i, scale, k)
     assert X.tobytes() == X_before.tobytes()
     assert candidate is None
@@ -79,7 +81,7 @@ def _written(X, rows, new):
 
 
 def _advance(obj, X, kept, i, scale, k):
-    rows, _, new, kept, _ = _iht_step(obj, X, kept, (i,), scale, k)
+    rows, _, new, kept, _ = _iht_step(obj, X, kept, [0], [(i,)], [scale], k)
     return _written(X, rows, new), kept
 
 

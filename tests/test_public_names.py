@@ -12,7 +12,7 @@ PUBLIC_NAMES = [
     "contraction_mstoiht", "cstogradmp", "cstoiht", "draw_index",
     "frobenius_norm", "gaussian_sensing_matrix", "generate_instance",
     "least_squares_solve", "load_jsm", "mstogradmp", "mstoiht",
-    "project_rows", "relative_error", "rip_constant", "row_norms",
+    "project_rows", "rip_constant", "row_norms",
     "row_sparse_signal", "row_support", "run_experiment", "run_sweep",
     "save_jsm", "support_union", "tolerance_mstogradmp",
     "top_k_indices", "top_k_rows", "verify_rsc_rss",

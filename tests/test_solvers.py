@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmvgreedy.bench import (
     ExperimentSpec,
@@ -9,12 +12,13 @@ from mmvgreedy.bench import (
     row_sparse_signal,
     run_experiment,
 )
-from mmvgreedy.linalg import RngStream
+from mmvgreedy.linalg import RngStream, frobenius_norm
 from mmvgreedy.objective import MmvObjective
 from mmvgreedy.solvers import (
     SOLVERS,
     DivergenceError,
     SolverConfig,
+    _rel_change,
     cstogradmp,
     cstoiht,
     mstogradmp,
@@ -182,6 +186,51 @@ def test_relative_change_from_zero_start_is_infinite_then_finite():
     trace = mstoiht(obj, cfg)
     assert trace.records[0].step_rel_change == np.inf
     assert np.isfinite(trace.records[1].step_rel_change)
+
+
+@settings(max_examples=150)
+@pytest.mark.parametrize("algo", sorted(SOLVERS))
+@given(data=st.data())
+def test_trace_norms_equal_the_dense_recomputation(algo, data):
+    # the engine keeps X - X_old and X - ground_truth in buffers it updates
+    # only where a step wrote; each record must still hold, bit for bit, the
+    # norms of freshly formed differences of the iterates the objective saw,
+    # also while some columns have stopped and others run on
+    n = data.draw(st.integers(4, 30), "n")
+    m = data.draw(st.integers(1, 20), "m")
+    L = data.draw(st.integers(1, 5), "L")
+    k = data.draw(st.integers(1, n // 2), "k")
+    obj, X_star = planted_problem(
+        data.draw(st.integers(0, 2**32 - 1), "seed"), n=n, m=m, L=L, k=k,
+        sigma=data.draw(st.sampled_from([0.0, 0.05]), "sigma"),
+    )
+    cfg = SolverConfig(
+        k=k, batch_size=data.draw(st.one_of(st.just(1), st.integers(1, m)), "b"),
+        max_iter=data.draw(st.integers(1, 40), "max_iter"),
+        tol=data.draw(st.sampled_from([0.0, 1e-2, 1e-1]), "tol"),
+        seed=data.draw(st.integers(0, 1000), "solver seed"), ground_truth=X_star,
+    )
+    iterates, real_value = [], MmvObjective.restricted_value
+
+    def value(self, X, support):
+        iterates.append(X.copy())
+        return real_value(self, X, support)
+
+    with mock.patch.object(MmvObjective, "restricted_value", value):
+        try:
+            trace = SOLVERS[algo](obj, cfg)
+            records = trace.records
+            assert trace.estimate.tobytes() == iterates[-1].tobytes()
+        except DivergenceError as exc:  # gamma = 1 is too large at some shapes
+            records = exc.records
+    assert len(records) in (len(iterates), len(iterates) - 1)
+    X_prev = np.zeros_like(X_star)
+    for record, X in zip(records, iterates):
+        assert record.rel_err == frobenius_norm(X - X_star) / frobenius_norm(X_star)
+        assert record.step_rel_change == _rel_change(
+            frobenius_norm(X_prev), frobenius_norm(X - X_prev)
+        )
+        X_prev = X
 
 
 def test_divergence_guard_raises_with_partial_records():
