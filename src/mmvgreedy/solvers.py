@@ -334,8 +334,8 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
         else:
             diff[written] = 0.0
             diff[rows], written = new - old, rows
-            if gt is not None:
-                err[rows] = new - gt[rows]
+            if gt is not None:  # take gathers faster, but not by a column tuple
+                err[rows] = new - (gt[rows] if columns else gt.take(rows, 0))
         if columns:  # row r of old.T and new.T is column active[r]
             for r, j in enumerate(active):
                 o, x = old.T[r : r + 1], new.T[r : r + 1]
