@@ -5,44 +5,43 @@ objective components per problem and applies one step to its iterate:
 
 * IHT (``mstoiht``, ``cstoiht``), stochastic iterative hard thresholding:
   take the stochastic gradient step scaled by gamma / (d * p(batch)) and
-  keep the k rows of largest norm.  For one drawn row a_i the gradient is
-  a_i r^T and the iterate is zero off the kept rows, where row j of the
-  step is thus -scale * a_ij * r, its norm monotone in |a_ij| even after
-  rounding.  So the step forms the kept rows and the k + 1 others of
-  largest |a_ij| only, unless the last two tie in norm or the block would
-  cover all n rows: then it forms all n, as for larger batches, same bits.
+  keep the k rows of largest norm.  For one drawn row a_i, row j of the
+  step off the kept rows is -scale * a_ij * r, its norm monotone in |a_ij|
+  even after rounding, so the joint step forms the kept rows and the k + 1
+  others of largest |a_ij| only, unless the last two tie in norm or the
+  block would cover all n rows: then it forms all n, with the same bits.
 * GradMP (``mstogradmp``, ``cstogradmp``), stochastic gradient matching
   pursuit: match the 2k rows of largest gradient norm, unite them with the
   kept support, minimize the objective restricted to that candidate set
   (at most 3k rows), then keep the k best rows of the minimizer.
 
-Every step has one contract, step(obj, X, kept, cols, batches, scales, k)
--> (rows, old, new, kept, candidate_size).  The joint solvers step one
-problem, the whole n x L matrix: cols is [0].  The concatenated solvers
-step the L single-column problems (A, Y[:, j]), each with its own
-substream j, kept rows (row j of an L x n mask) and tolerance stop, at
-once on the stack X.T[cols]: each row is one contiguous operand, ranked
-as top_k_rows ranks an n x 1 block, so at L = 1 both families compute
-the same bits.  The trace at iteration t holds every column's t-th iterate.
+Every step has one contract, step(obj, X, kept, cols, batch, scale, k)
+-> (rows, old, new, kept, candidate_size), on index sets the engine
+checked once per solve: contiguous batches as row slices, supports as
+sorted index arrays or masks.  The joint solvers step the n x L problem
+on one batch.  The concatenated solvers step the L single-column problems
+(A, Y[:, j]), each with its own substream j, kept rows (row j of an L x n
+mask), batch and tolerance stop, at once on the stack X.T[cols] of the
+running columns cols.  Each row is ranked as top_k_rows ranks an n x 1
+block, so at L = 1 both families compute the same bits; at batch size 1
+the gradients a_i (a_i . x_j - y_ij) are one stacked expression.
 
 rows names the part of X that the step changed (the one-row IHT step's
 rows, or the columns cols), old and new its values, and the engine writes
-just that part: into the iterate, and into two n x L buffers that hold
-X - X_old and X - ground_truth everywhere.  Each norm of the trace is
-then the same dense reduction over the same values as a norm of a freshly
-formed difference, so the bits do not move.  A dense joint step (larger
-batches, GradMP) returns rows None and its whole new iterate, and the
-differences are formed afresh, which costs less than fancy-indexed writes
-of 2k rows.  ||X_old|| is the previous iteration's ||X||.  Supports are
-sorted index arrays, and each stream draws its batches in bulk: the same
-uniforms, mapped the same way, as one draw at a time.
+just that part: into the iterate, and into n x L buffers holding X - X_old
+and X - ground_truth.  Every norm of the trace, and each column's own
+change, is then the same reduction over the same values as the norm of a
+freshly formed difference, so the bits do not move.  A dense joint step
+(larger batches, GradMP) returns rows None and its whole new iterate; its
+differences are formed afresh, cheaper than fancy-indexed writes of 2k
+rows.  Each stream draws its batches in bulk, with the bits of one draw
+at a time.
 
-All solvers start from the zero matrix, stop when the relative iterate
-change drops below the tolerance (every column's change, for the
-concatenated solvers) or after max_iter iterations, and record a
-per-iteration trace (elapsed compute time, objective, iterate change, and
-error against an optional ground truth).  Identical inputs including the
-seed give bit-identical traces.
+All solvers start from the zero matrix and stop when the relative iterate
+change (every column's, for the concatenated solvers) drops below the
+tolerance, or after max_iter iterations.  The per-iteration trace (compute
+time, objective, iterate change, error against an optional ground truth)
+is bit-identical for identical inputs and seed.
 """
 
 from __future__ import annotations
@@ -57,15 +56,11 @@ from .linalg import (
     IndexSampler, RngStream, as_matrix, frobenius_norm, require_finite, require_int,
     row_norms,
 )
-from .linalg import draw_index  # noqa: F401  the benchmark's spans look it up here
 from .objective import MmvObjective, batch_partition
-from .sparsity import (
-    RowSupport,
-    project_rows,
-    row_support,
-    support_union,
-    top_k_indices,  # noqa: F401  the benchmark's layer spans look it up here
-    top_k_rows,
+# the benchmark's layer spans look these names up here
+from .linalg import draw_index  # noqa: F401
+from .sparsity import (  # noqa: F401
+    project_rows, row_support, support_union, top_k_indices, top_k_rows,
 )
 
 __all__ = [
@@ -195,20 +190,26 @@ def _rel_change(prev_norm: float, diff_norm: float) -> float:
     return diff_norm / prev_norm
 
 
-def _iht_step(obj, X, kept, cols, batches, scales, k):
+def _batch_grad(obj, batch, X):
+    # batch_grad on the row slices (views) of the contiguous batch: the
+    # same products, without re-checking the engine's batch
+    A = obj.A[batch]
+    return A.T @ (A @ X - obj.Y[batch]) / (batch.stop - batch.start)
+
+
+def _iht_step(obj, X, kept, cols, batch, scale, k):
     """Scaled stochastic gradient step, then keep the k rows of largest norm.
 
-    The joint step, on cols [0]: X is zero off the sorted kept rows and is
-    not written.  A one-row batch forms few rows (see above) and returns
-    them as rows, with their values in X and in the new iterate; the dense
-    path returns rows None and the whole new iterate, as _gradmp_step
-    does.  Both also return the new support and the candidate size.
+    The joint step, on the row slice batch: X is zero off the sorted kept
+    rows and is not written.  A one-row batch forms few rows (see above)
+    and returns them as rows, with their values in X and in the new
+    iterate; the dense path returns rows None and the whole new iterate,
+    as _gradmp_step does.  Both also return the new support and the
+    candidate size.
     """
-    batch, scale = batches[0], scales[0]
-    if len(batch) == 1 and len(kept) + k + 1 < obj.n:
-        i = batch[0]
-        a = obj.A[i]
-        r = obj.A[i : i + 1] @ X - obj.Y[i : i + 1]
+    if batch.stop - batch.start == 1 and len(kept) + k + 1 < obj.n:
+        a = obj.A[batch.start]
+        r = obj.A[batch] @ X - obj.Y[batch]
         score = np.abs(a)
         score[kept] = -1.0
         rows = np.concatenate((kept, score.argpartition(-k - 1)[-k - 1 :]))
@@ -223,47 +224,63 @@ def _iht_step(obj, X, kept, cols, batches, scales, k):
             support = rows[order[:k]]
             support.sort()
             return rows, old, B, support, None
-    B = X - scale * obj.batch_grad(batch, X)
-    support = top_k_rows(B, k)
-    return None, None, project_rows(B, support), support.as_array(), None
+    B = X - scale * _batch_grad(obj, batch, X)
+    keep = _top_k_mask(row_norms(B)[None], k)[0]  # top_k_rows(B, k) as a mask
+    B[~keep] = 0.0
+    return None, None, B, np.flatnonzero(keep), None
 
 
-def _gradmp_step(obj, X, kept, cols, batches, scales, k):
+def _gradmp_step(obj, X, kept, cols, batch, scale, k):
     """Match 2k gradient rows, minimize on them and the kept rows, keep k.
 
     Rank-deficient restricted solves fall back to the minimum-norm
     solution and are not an error.
     """
-    matched = top_k_rows(obj.batch_grad(batches[0], X), 2 * k)
-    candidate = support_union(matched, RowSupport(kept, obj.n))
+    # the rows top_k_rows ranks first, as masks: the _top_k_mask rule on norms
+    cand = _top_k_mask(row_norms(_batch_grad(obj, batch, X))[None], 2 * k)[0]
+    cand[kept] = True
+    candidate = np.flatnonzero(cand)
     B = obj.restricted_argmin(candidate)
-    support = top_k_rows(B, k)
-    return None, None, project_rows(B, support), support.as_array(), len(candidate)
+    keep = _top_k_mask(row_norms(B)[None], k)[0]
+    B[~keep] = 0.0
+    return None, None, B, np.flatnonzero(keep), len(candidate)
 
 
 def _top_k_mask(B, k):
     # each row's k entries of largest magnitude, ranked as top_k_rows ranks
-    # the n x 1 block B[r][:, None] (a stable sort): a partition finds the
-    # k-th largest, and the entries tied with it are taken from the lowest
-    # index up.  NaN ranks last, as it sorts last.
-    mask = np.zeros(B.shape, dtype=bool)
+    # the n x 1 block B[r][:, None]: a partition finds the k-th largest, and
+    # if more than k reach it, those equal to it are taken from the lowest
+    # index up, as a stable sort takes them.  NaN ranks last, as it sorts.
     if k == 0:
-        return mask
-    mag = np.fmax(np.abs(B), -1.0)
-    n = B.shape[1]
+        return np.zeros(B.shape, dtype=bool)
+    mag, n = np.fmax(np.abs(B), -1.0), B.shape[1]
     kth = np.partition(mag, n - k, axis=1)[:, n - k : n - k + 1]
-    np.greater(mag, kth, out=mask)
-    ties = mag == kth
-    short = k - np.count_nonzero(mask, axis=1, keepdims=True)
-    mask |= ties & (np.cumsum(ties, axis=1) <= short)
+    mask = mag >= kth
+    if np.count_nonzero(mask) > k * len(B):
+        np.greater(mag, kth, out=mask)
+        ties = mag == kth
+        short = k - np.count_nonzero(mask, axis=1, keepdims=True)
+        mask |= ties & (np.cumsum(ties, axis=1) <= short)
     return mask
+
+
+def _column_grads(obj, old, cols, batches):
+    # column_grad of each column j in cols at its iterate, the row of old
+    if any(b.stop - b.start > 1 for b in batches):
+        return np.array([obj.column_grad(range(b.start, b.stop), j, x)
+                         for b, j, x in zip(batches, cols, old)])
+    # one row a_i each: the stacked vector product is column_grad's dot, and
+    # + 0.0 turns -0.0 into the 0.0 that its BLAS outer product returns
+    i = np.array([b.start for b in batches])
+    a = obj.A[i]
+    r = (a[:, None, :] @ old[:, :, None])[:, 0, 0] - obj.Y[i, cols]
+    return a * r[:, None] + 0.0
 
 
 def _iht_columns(obj, X, kept, cols, batches, scales, k):
     """The IHT step of each column problem j in cols, whose iterate is X[:, j]."""
     old = X.T[cols]
-    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, old)])
-    B = old - np.array(scales)[:, None] * G
+    B = old - scales[:, None] * _column_grads(obj, old, cols, batches)
     kept[cols] = keep = _top_k_mask(B, k)
     return (slice(None), cols), old.T, np.where(keep, B, 0.0).T, kept, None
 
@@ -271,13 +288,18 @@ def _iht_columns(obj, X, kept, cols, batches, scales, k):
 def _gradmp_columns(obj, X, kept, cols, batches, scales, k):
     """The GradMP step of each column problem j in cols, whose iterate is X[:, j]."""
     old = X.T[cols]
-    G = np.array([obj.column_grad(b, j, x) for b, j, x in zip(batches, cols, old)])
-    cand = _top_k_mask(G, 2 * k) | kept[cols]
+    cand = _top_k_mask(_column_grads(obj, old, cols, batches), 2 * k) | kept[cols]
     B = np.array([obj.restricted_column_argmin(np.flatnonzero(c), j)
                   for c, j in zip(cand, cols)])
     kept[cols] = keep = _top_k_mask(B, k)
     new = np.where(keep, B, 0.0).T
     return (slice(None), cols), old.T, new, kept, int(cand.sum(axis=1).max())
+
+
+def _stacked_norms(R):
+    # each row's norm as frobenius_norm takes it: the same dot product (one
+    # stacked matmul over the C-contiguous rows), then an IEEE sqrt
+    return np.sqrt((R[:, None, :] @ R[:, :, None])[:, 0, 0])
 
 
 # each solver's step, whether it runs on the L single-column problems, and
@@ -304,9 +326,10 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     step, columns, _ = _STEPS[algo]
     kept = np.zeros((obj.L, obj.n), bool) if columns else np.empty(0, np.intp)
     plan = batch_partition(obj.component_count, cfg.batch_size)
+    bounds = [slice(b[0], b[-1] + 1) for b in plan.batches]  # each is contiguous
     sampler = IndexSampler(cfg.batch_probabilities(plan.count))
     with np.errstate(divide="ignore"):  # a batch of probability 0 is never drawn
-        scales = (cfg.gamma / (plan.count * sampler.p)).tolist()
+        scales = cfg.gamma / (plan.count * sampler.p)
     streams = [_draws(sampler, RngStream(cfg.seed, (j,)), cfg.max_iter)
                for j in range(obj.L if columns else 1)]
     X = np.zeros((obj.n, obj.L))
@@ -315,15 +338,13 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     if gt is not None:
         gt_norm, err = frobenius_norm(gt), X - gt
     diff, written, norm = np.zeros(X.shape), slice(0), 0.0
-    changes, active = [math.inf] * len(streams), list(range(len(streams)))
-    trace, elapsed = SolveTrace(), 0.0
+    active, trace, elapsed = np.arange(len(streams)), SolveTrace(), 0.0
     for t in range(1, cfg.max_iter + 1):
         tic = time.perf_counter()
-        draws = [next(streams[j]) for j in active]
-        rows, old, new, kept, candidate_size = step(
-            obj, X, kept, active, [plan.batches[i] for i in draws],
-            [scales[i] for i in draws], cfg.k,
-        )
+        # a draw from each running column's stream, in column order, or one
+        i = [next(streams[j]) for j in active.tolist()] if columns else next(streams[0])
+        batch = [bounds[d] for d in i] if columns else bounds[i]
+        rows, old, new, kept, size = step(obj, X, kept, active, batch, scales[i], cfg.k)
         if rows is not None:
             X[rows] = new
         elapsed += time.perf_counter() - tic
@@ -332,20 +353,21 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
             if gt is not None:
                 err = X - gt
         else:
+            step_diff = new - old
             diff[written] = 0.0
-            diff[rows], written = new - old, rows
+            diff[rows], written = step_diff, rows
             if gt is not None:  # take gathers faster, but not by a column tuple
                 err[rows] = new - (gt[rows] if columns else gt.take(rows, 0))
-        if columns:  # row r of old.T and new.T is column active[r]
-            for r, j in enumerate(active):
-                o, x = old.T[r : r + 1], new.T[r : r + 1]
-                changes[j] = _rel_change(frobenius_norm(o), frobenius_norm(x - o))
-        support = row_support(X) if columns else kept
+        support = np.flatnonzero(X.any(axis=1)) if columns else kept
         prev_norm, norm = norm, frobenius_norm(X)
         change = _rel_change(prev_norm, frobenius_norm(diff))
-        if not columns:
-            changes[0] = change
-        active = [j for j in active if not changes[j] < cfg.tol]
+        if columns:  # row r of old.T and step_diff.T is column active[r]
+            old_norm, diff_norm = _stacked_norms(old.T), _stacked_norms(step_diff.T)
+            with np.errstate(divide="ignore", invalid="ignore"):  # as _rel_change
+                stopped = np.where(diff_norm == 0, 0.0, diff_norm / old_norm) < cfg.tol
+            if stopped.any():
+                active = active[~stopped]
+        done = not active.size if columns else change < cfg.tol
 
         fval = obj.restricted_value(X, support)
         if not math.isfinite(fval):
@@ -363,9 +385,9 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
         rel = None if gt is None else frobenius_norm(err) / gt_norm
         trace.records.append(IterationRecord(
             iteration=t, elapsed_s=elapsed, objective=fval, step_rel_change=change,
-            rel_err=rel, support_size=len(support), candidate_size=candidate_size,
+            rel_err=rel, support_size=len(support), candidate_size=size,
         ))
-        if not active:
+        if done:
             trace.stop_reason = "tolerance"
             break
     trace.estimate = X
@@ -392,9 +414,4 @@ def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     return _solve(obj, cfg, "cstogradmp")
 
 
-SOLVERS = {
-    "mstoiht": mstoiht,
-    "cstoiht": cstoiht,
-    "mstogradmp": mstogradmp,
-    "cstogradmp": cstogradmp,
-}
+SOLVERS = {f.__name__: f for f in (mstoiht, cstoiht, mstogradmp, cstogradmp)}

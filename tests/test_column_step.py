@@ -13,7 +13,11 @@ different iterations, so the set of active columns shrinks mid-run.
 Every GradMP record, joint or concatenated, has between 2k and 3k
 candidate rows: the 2k matched rows united with the k kept ones.  The
 stacked selection ranks each row of the stack as top_k_rows ranks an
-n x 1 block, ties included.
+n x 1 block, ties included, and the engine's own expressions keep the
+bits of the checked kernels: the slice gradient is batch_grad's, the
+stacked one-row gradient is column_grad's row by row, the stacked norms
+are frobenius_norm's, and the joint mask selection united with the kept
+rows is support_union(top_k_rows(G, k), kept).
 """
 
 import numpy as np
@@ -22,10 +26,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mmvgreedy.bench import gaussian_sensing_matrix, row_sparse_signal
-from mmvgreedy.linalg import RngStream
+from mmvgreedy.linalg import RngStream, frobenius_norm, row_norms
+from mmvgreedy import solvers
 from mmvgreedy.objective import MmvObjective
-from mmvgreedy.solvers import SOLVERS, SolverConfig, _top_k_mask
-from mmvgreedy.sparsity import top_k_rows
+from mmvgreedy.solvers import (
+    SOLVERS, SolverConfig, _batch_grad, _column_grads, _stacked_norms, _top_k_mask,
+)
+from mmvgreedy.sparsity import RowSupport, support_union, top_k_rows
 from oracle_solvers import ORACLES
 
 RTOL = 1e-10
@@ -54,15 +61,15 @@ def test_stacked_step_matches_the_reference_at_acceptance_shape(
 ):
     obj, X_star = _instance(k, seed)
     cfg = SolverConfig(k=k, max_iter=max_iter, tol=tol, seed=seed, ground_truth=X_star)
-    steps = []  # the column of every column gradient the engine forms
-    real_grad = MmvObjective.column_grad
+    steps = []  # the columns the engine gives its column step, call by call
+    real_step, *flags = solvers._STEPS[algo]
 
-    def column_grad(self, rows, j, x):
-        steps.append(j)
-        return real_grad(self, rows, j, x)
+    def step(obj, X, kept, cols, *args):
+        steps.extend(cols.tolist())
+        return real_step(obj, X, kept, cols, *args)
 
     with monkeypatch.context() as patch:
-        patch.setattr(MmvObjective, "column_grad", column_grad)
+        patch.setitem(solvers._STEPS, algo, (step, *flags))
         new = SOLVERS[algo](obj, cfg)
     old = ORACLES[algo](obj, cfg)
 
@@ -110,3 +117,43 @@ def test_stacked_selection_ranks_each_row_as_top_k_rows(rows, n, seed, data):
         assert np.flatnonzero(mask[r]).tolist() == (
             top_k_rows(B[r][:, None], k).as_array().tolist()
         )
+    # each row's norm, stacked, as frobenius_norm takes it
+    norms = [frobenius_norm(B[r : r + 1]) for r in range(rows)]
+    assert _stacked_norms(B).tobytes() == np.array(norms).tobytes()
+    # the joint selection of the n x rows G: its k rows of largest norm,
+    # united with kept rows as the GradMP step unites them
+    G = B.T.copy()
+    kept = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
+    cand = _top_k_mask(row_norms(G)[None], k)[0]
+    cand[kept] = True
+    union = support_union(top_k_rows(G, k), RowSupport(kept, n))
+    assert np.flatnonzero(cand).tolist() == union.as_array().tolist()
+
+
+@settings(max_examples=100)
+@given(
+    st.integers(1, 30), st.integers(1, 8), st.integers(1, 6),
+    st.integers(0, 2**32 - 1), st.data(),
+)
+def test_engine_gradients_equal_the_checked_kernels(n, m, L, seed, data):
+    # the joint step's slice gradient equals batch_grad, and the stacked
+    # column gradient equals column_grad row by row, bit for bit
+    rng = RngStream(seed, (0,))
+    A, X, Y = (rng.standard_normal(shape) for shape in ((m, n), (n, L), (m, L)))
+    if data.draw(st.booleans()):  # ties, zeros and signed zeros among them
+        A, X = np.round(A), np.round(X)
+    obj = MmvObjective(A, Y)
+    b = data.draw(st.integers(1, m))
+    bounds = [slice(i, min(i + b, m)) for i in range(0, m, b)]
+    for batch in bounds:
+        rows = tuple(range(batch.start, batch.stop))
+        assert _batch_grad(obj, batch, X).tobytes() == obj.batch_grad(rows, X).tobytes()
+    cols = np.array(
+        sorted(data.draw(st.sets(st.integers(0, L - 1), min_size=1))), dtype=np.intp
+    )
+    batches = [data.draw(st.sampled_from(bounds)) for _ in cols]
+    old = X.T[cols]
+    G = _column_grads(obj, old, cols, batches)
+    for g, batch, j, x in zip(G, batches, cols, old):
+        rows = tuple(range(batch.start, batch.stop))
+        assert g.tobytes() == obj.column_grad(rows, j, x).tobytes()

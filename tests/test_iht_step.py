@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from mmvgreedy.bench import gaussian_sensing_matrix
 from mmvgreedy.linalg import RngStream
+from mmvgreedy import solvers
 from mmvgreedy.objective import MmvObjective
 from mmvgreedy.solvers import SolverConfig, _iht_step, mstoiht
 from mmvgreedy.sparsity import RowSupport, project_rows, top_k_rows
@@ -58,7 +59,7 @@ def _dense_step(obj, X, i, scale, k):
 def _assert_same_step(obj, X, kept, i, scale, k):
     X_before = X.copy()
     rows, old, new, support, candidate = _iht_step(
-        obj, X, kept, [0], [(i,)], [scale], k
+        obj, X, kept, [0], slice(i, i + 1), scale, k
     )
     X_ref, support_ref = _dense_step(obj, X, i, scale, k)
     assert X.tobytes() == X_before.tobytes()
@@ -81,7 +82,7 @@ def _written(X, rows, new):
 
 
 def _advance(obj, X, kept, i, scale, k):
-    rows, _, new, kept, _ = _iht_step(obj, X, kept, [0], [(i,)], [scale], k)
+    rows, _, new, kept, _ = _iht_step(obj, X, kept, [0], slice(i, i + 1), scale, k)
     return _written(X, rows, new), kept
 
 
@@ -112,7 +113,7 @@ def test_single_row_step_forms_no_dense_gradient(monkeypatch):
     def dense(*args):
         raise AssertionError("the dense gradient was formed")
 
-    monkeypatch.setattr(MmvObjective, "batch_grad", dense)
+    monkeypatch.setattr(solvers, "_batch_grad", dense)
     X, kept = np.zeros((50, 3)), np.empty(0, dtype=np.intp)
     for i in range(10):
         X, kept = _advance(obj, X, kept, i, 10.0, 4)

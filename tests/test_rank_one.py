@@ -77,7 +77,7 @@ def test_iht_entering_rows_are_the_largest_drawn_entries_off_the_kept_ones(draw_
     obj, X, kept, i = draw_
     k = data.draw(st.integers(1, obj.n))
     scale = data.draw(st.sampled_from([0.5, 1.0, 1.7, 100.0]))
-    support = _iht_step(obj, X, kept.as_array(), [0], [(i,)], [scale], k)[3]
+    support = _iht_step(obj, X, kept.as_array(), [0], slice(i, i + 1), scale, k)[3]
     off = np.setdiff1d(np.arange(obj.n), kept.as_array())
     entering = np.setdiff1d(support, kept.as_array())
     B = X - scale * obj.batch_grad([i], X)
