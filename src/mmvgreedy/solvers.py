@@ -414,4 +414,9 @@ def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     return _solve(obj, cfg, "cstogradmp")
 
 
-SOLVERS = {f.__name__: f for f in (mstoiht, cstoiht, mstogradmp, cstogradmp)}
+SOLVERS = {
+    "mstoiht": mstoiht,
+    "cstoiht": cstoiht,
+    "mstogradmp": mstogradmp,
+    "cstogradmp": cstogradmp,
+}
