@@ -341,7 +341,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     active, trace, elapsed = np.arange(len(streams)), SolveTrace(), 0.0
     for t in range(1, cfg.max_iter + 1):
         tic = time.perf_counter()
-        # a draw from each running column's stream, in column order, or one
+        # a draw from each running column's stream in column order, or the joint one
         i = [next(streams[j]) for j in active.tolist()] if columns else next(streams[0])
         batch = [bounds[d] for d in i] if columns else bounds[i]
         rows, old, new, kept, size = step(obj, X, kept, active, batch, scales[i], cfg.k)
