@@ -74,9 +74,9 @@ class ExperimentSpec:
             if require_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         require_int(self.seed, "seed")
-        if not 0 <= self.noise_sigma < math.inf:
+        if isinstance(self.noise_sigma, bool) or not 0 <= self.noise_sigma < math.inf:
             raise ValueError(
-                f"noise_sigma must be finite and nonnegative, got {self.noise_sigma}"
+                f"noise_sigma must be a finite nonnegative real, got {self.noise_sigma}"
             )
         if self.algo not in SOLVERS:
             raise ValueError(

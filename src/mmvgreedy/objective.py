@@ -9,10 +9,10 @@ viewed as the mean of m components, one per measurement row:
     f_i(X) = (1 / 2) * ||Y[i] - A[i] X||_2^2.
 
 Stochastic solvers consume this through batch gradients (the mean gradient
-over a set of rows) and support-restricted minimization.  The objective is
-separable across signal columns: the per-column kernels are the shared
-kernels of the single-column problem (A, Y[:, j]) that the concatenated
-solvers run, computed on A and Y[:, j] directly.
+over a set of rows: indices, or a contiguous row slice checked in O(1))
+and support-restricted minimization.  The objective is separable across
+signal columns: the per-column kernels run the one gradient body and the
+one solve body on the single-column problem (A, Y[:, j]).
 """
 
 from __future__ import annotations
@@ -66,7 +66,12 @@ class MmvObjective:
             raise ValueError(f"X must be {self.n}x{self.L}, got {X.shape}")
         return X
 
-    def _rows(self, rows) -> np.ndarray:
+    def _rows(self, rows):
+        if isinstance(rows, slice):  # checked in O(1); A[rows] is then a view
+            M = self.component_count
+            if rows.indices(M) != (rows.start, rows.stop, 1) or rows.start >= rows.stop:
+                raise ValueError(f"{rows} is not a nonempty step-1 range in [0, {M})")
+            return rows
         idx = np.atleast_1d(np.asarray(rows, dtype=np.intp))
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("component index set must be nonempty")
@@ -80,29 +85,29 @@ class MmvObjective:
         R = self.Y - self.A @ X
         return 0.5 / self.m * float(np.vdot(R, R))
 
+    def _grad(self, rows, X, Y) -> np.ndarray:
+        # (1/|rows|) A[rows]^T (A[rows] X - Y[rows]), for rows checked by _rows
+        A_rows = self.A[rows]
+        return A_rows.T @ (A_rows @ X - Y[rows]) / len(A_rows)
+
     def batch_grad(self, rows, X) -> np.ndarray:
         """Mean component gradient over the given rows.
 
         Returns (1/|rows|) * A[rows]^T (A[rows] X - Y[rows]), an n x L
-        matrix.  A singleton gives the single-component gradient.
+        matrix.  A singleton gives the single-component gradient.  rows is
+        an index sequence or a contiguous row slice.
         """
-        idx = self._rows(rows)
-        X = self._check_iterate(X)
-        A_rows = self.A[idx]
-        R = A_rows @ X - self.Y[idx]
-        return A_rows.T @ R / idx.size
+        return self._grad(self._rows(rows), self._check_iterate(X), self.Y)
 
     def column_grad(self, rows, j: int, x) -> np.ndarray:
         """batch_grad of column j's problem (A, Y[:, j]) at the length-n x."""
-        idx = self._rows(rows)
+        rows = self._rows(rows)
         if not 0 <= j < self.L:
             raise ValueError(f"column {j} out of range [0, {self.L})")
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.n,):
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
-        A_rows = self.A[idx]
-        r = A_rows @ x[:, None] - self.Y[idx, j][:, None]
-        return (A_rows.T @ r / idx.size).ravel()
+        return self._grad(rows, x[:, None], self.Y[:, j : j + 1]).ravel()
 
     def _support_rows(self, support) -> np.ndarray:
         # a RowSupport, or the sorted array of one's rows; the argmins'
@@ -115,6 +120,13 @@ class MmvObjective:
             return support.as_array()
         return support
 
+    def _argmin(self, support, Y) -> np.ndarray:
+        # zero off the support, the min-norm least-squares block on it
+        idx = self._support_rows(support)
+        B = np.zeros((self.n, Y.shape[1]))
+        B[idx] = least_squares_solve(self.A[:, idx], Y)
+        return B
+
     def restricted_argmin(self, support) -> np.ndarray:
         """Minimize F over matrices supported on the given rows.
 
@@ -122,19 +134,13 @@ class MmvObjective:
         minimum-norm least-squares solution against the selected columns
         of A.
         """
-        idx = self._support_rows(support)
-        B = np.zeros((self.n, self.L))
-        B[idx] = least_squares_solve(self.A[:, idx], self.Y)
-        return B
+        return self._argmin(support, self.Y)
 
     def restricted_column_argmin(self, support, j: int) -> np.ndarray:
         """restricted_argmin of column j's problem, as a length-n vector."""
-        idx = self._support_rows(support)
         if not 0 <= j < self.L:
             raise ValueError(f"column {j} out of range [0, {self.L})")
-        b = np.zeros(self.n)
-        b[idx] = least_squares_solve(self.A[:, idx], self.Y[:, j : j + 1]).ravel()
-        return b
+        return self._argmin(support, self.Y[:, j : j + 1]).ravel()
 
     def full_grad(self, X) -> np.ndarray:
         """Exact gradient (1/m) A^T (A X - Y) of F: batch_grad over every row."""

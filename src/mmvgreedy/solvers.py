@@ -16,15 +16,15 @@ objective components per problem and applies one step to its iterate:
   (at most 3k rows), then keep the k best rows of the minimizer.
 
 Every step has one contract, step(obj, X, kept, cols, batch, scale, k)
--> (rows, old, new, kept, candidate_size), on index sets the engine
-checked once per solve: contiguous batches as row slices, supports as
-sorted index arrays or masks.  The joint solvers step the n x L problem
-on one batch.  The concatenated solvers step the L single-column problems
-(A, Y[:, j]), each with its own substream j, kept rows (row j of an L x n
-mask), batch and tolerance stop, at once on the stack X.T[cols] of the
-running columns cols.  Each row is ranked as top_k_rows ranks an n x 1
-block, so at L = 1 both families compute the same bits; at batch size 1
-the gradients a_i (a_i . x_j - y_ij) are one stacked expression.
+-> (rows, old, new, kept, candidate_size), on index sets the engine built
+once per solve: contiguous batches as row slices, which batch_grad and
+column_grad check in O(1), and supports as sorted index arrays or masks.
+The joint solvers step the n x L problem on one batch; the concatenated
+ones step the L single-column problems (A, Y[:, j]), each with its own
+substream j, kept rows (row j of an L x n mask), batch and tolerance stop,
+at once on the stack X.T[cols] of the running columns cols.  All rank rows
+by sparsity's one tie rule, so at L = 1 both families compute the same
+bits; at batch size 1 the column gradients are one stacked expression.
 
 rows names the part of X that the step changed (the one-row IHT step's
 rows, or the columns cols), old and new its values, and the engine writes
@@ -59,6 +59,7 @@ from .linalg import (
 from .objective import MmvObjective, batch_partition
 # the benchmark's layer spans look these names up here
 from .linalg import draw_index  # noqa: F401
+from .sparsity import _top_k_mask
 from .sparsity import (  # noqa: F401
     project_rows, row_support, support_union, top_k_indices, top_k_rows,
 )
@@ -118,10 +119,10 @@ class SolverConfig:
             if require_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         require_int(self.seed, "seed")
-        if not 0 < self.gamma < math.inf:
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
-        if not self.tol >= 0:
-            raise ValueError(f"tol must be nonnegative, got {self.tol}")
+        if isinstance(self.gamma, bool) or not 0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be a positive finite real, got {self.gamma}")
+        if isinstance(self.tol, bool) or not self.tol >= 0:
+            raise ValueError(f"tol must be a nonnegative real, got {self.tol}")
         if isinstance(self.probabilities, str) and self.probabilities != "uniform":
             raise ValueError(f"unknown probabilities setting {self.probabilities!r}")
         if self.ground_truth is not None:
@@ -133,10 +134,9 @@ class SolverConfig:
         """Raise ValueError unless solver algo can run on n x L, m components."""
         if self.k > n:
             raise ValueError(f"sparsity k={self.k} exceeds signal length n={n}")
-        if _STEPS[algo][2] and 2 * self.k > n:
-            raise ValueError(
-                f"{algo} matches 2k rows and needs 2k <= n, got k={self.k}, n={n}"
-            )
+        if _STEPS[algo][2] and _MATCH * self.k > n:
+            raise ValueError(f"{algo} matches {_MATCH}k rows and needs {_MATCH}k <= n, "
+                             f"got k={self.k}, n={n}")
         if self.batch_size > m:
             raise ValueError(f"batch_size={self.batch_size} exceeds m={m} components")
         gt = self.ground_truth
@@ -190,13 +190,6 @@ def _rel_change(prev_norm: float, diff_norm: float) -> float:
     return diff_norm / prev_norm
 
 
-def _batch_grad(obj, batch, X):
-    # batch_grad on the row slices (views) of the contiguous batch: the
-    # same products, without re-checking the engine's batch
-    A = obj.A[batch]
-    return A.T @ (A @ X - obj.Y[batch]) / (batch.stop - batch.start)
-
-
 def _iht_step(obj, X, kept, cols, batch, scale, k):
     """Scaled stochastic gradient step, then keep the k rows of largest norm.
 
@@ -224,7 +217,7 @@ def _iht_step(obj, X, kept, cols, batch, scale, k):
             support = rows[order[:k]]
             support.sort()
             return rows, old, B, support, None
-    B = X - scale * _batch_grad(obj, batch, X)
+    B = X - scale * obj.batch_grad(batch, X)
     keep = _top_k_mask(row_norms(B)[None], k)[0]  # top_k_rows(B, k) as a mask
     B[~keep] = 0.0
     return None, None, B, np.flatnonzero(keep), None
@@ -236,8 +229,8 @@ def _gradmp_step(obj, X, kept, cols, batch, scale, k):
     Rank-deficient restricted solves fall back to the minimum-norm
     solution and are not an error.
     """
-    # the rows top_k_rows ranks first, as masks: the _top_k_mask rule on norms
-    cand = _top_k_mask(row_norms(_batch_grad(obj, batch, X))[None], 2 * k)[0]
+    # the rows top_k_rows ranks first, as masks: its _top_k_mask rule on norms
+    cand = _top_k_mask(row_norms(obj.batch_grad(batch, X))[None], _MATCH * k)[0]
     cand[kept] = True
     candidate = np.flatnonzero(cand)
     B = obj.restricted_argmin(candidate)
@@ -246,29 +239,10 @@ def _gradmp_step(obj, X, kept, cols, batch, scale, k):
     return None, None, B, np.flatnonzero(keep), len(candidate)
 
 
-def _top_k_mask(B, k):
-    # each row's k entries of largest magnitude, ranked as top_k_rows ranks
-    # the n x 1 block B[r][:, None]: a partition finds the k-th largest, and
-    # if more than k reach it, those equal to it are taken from the lowest
-    # index up, as a stable sort takes them.  NaN ranks last, as it sorts.
-    if k == 0:
-        return np.zeros(B.shape, dtype=bool)
-    mag, n = np.fmax(np.abs(B), -1.0), B.shape[1]
-    kth = np.partition(mag, n - k, axis=1)[:, n - k : n - k + 1]
-    mask = mag >= kth
-    if np.count_nonzero(mask) > k * len(B):
-        np.greater(mag, kth, out=mask)
-        ties = mag == kth
-        short = k - np.count_nonzero(mask, axis=1, keepdims=True)
-        mask |= ties & (np.cumsum(ties, axis=1) <= short)
-    return mask
-
-
 def _column_grads(obj, old, cols, batches):
     # column_grad of each column j in cols at its iterate, the row of old
     if any(b.stop - b.start > 1 for b in batches):
-        return np.array([obj.column_grad(range(b.start, b.stop), j, x)
-                         for b, j, x in zip(batches, cols, old)])
+        return np.array([obj.column_grad(*args) for args in zip(batches, cols, old)])
     # one row a_i each: the stacked vector product is column_grad's dot, and
     # + 0.0 turns -0.0 into the 0.0 that its BLAS outer product returns
     i = np.array([b.start for b in batches])
@@ -288,7 +262,7 @@ def _iht_columns(obj, X, kept, cols, batches, scales, k):
 def _gradmp_columns(obj, X, kept, cols, batches, scales, k):
     """The GradMP step of each column problem j in cols, whose iterate is X[:, j]."""
     old = X.T[cols]
-    cand = _top_k_mask(_column_grads(obj, old, cols, batches), 2 * k) | kept[cols]
+    cand = _top_k_mask(_column_grads(obj, old, cols, batches), _MATCH * k) | kept[cols]
     B = np.array([obj.restricted_column_argmin(np.flatnonzero(c), j)
                   for c, j in zip(cand, cols)])
     kept[cols] = keep = _top_k_mask(B, k)
@@ -303,7 +277,8 @@ def _stacked_norms(R):
 
 
 # each solver's step, whether it runs on the L single-column problems, and
-# whether it matches 2k rows, which needs 2k <= n
+# whether it matches _MATCH * k gradient rows, which needs _MATCH * k <= n
+_MATCH = 2
 _STEPS = {"mstoiht": (_iht_step, False, False), "cstoiht": (_iht_columns, True, False),
           "mstogradmp": (_gradmp_step, False, True),
           "cstogradmp": (_gradmp_columns, True, True)}

@@ -2,7 +2,8 @@
 
 The thresholding operators here keep the k entries (or rows) of largest
 magnitude (or Euclidean row norm), with ties broken toward the smaller
-index so results are deterministic.  The atom set is the canonical basis
+index so results are deterministic; _top_k_mask is that one rule, for
+top_k_rows and the solvers alike.  The atom set is the canonical basis
 throughout, which makes these projections exact best approximations.
 """
 
@@ -77,9 +78,25 @@ def top_k_rows(X, k: int) -> RowSupport:
     norms = row_norms(X)
     if k < 0 or k > norms.size:
         raise ValueError(f"k={k} out of range [0, {norms.size}]")
-    # stable sort on the negated norms keeps the smaller index on ties
-    order = np.argsort(-norms, kind="stable")
-    return RowSupport(np.sort(order[:k]), norms.size)
+    return RowSupport(np.flatnonzero(_top_k_mask(norms[None], k)[0]), norms.size)
+
+
+def _top_k_mask(B, k):
+    # each row's k entries of largest magnitude, ties to the lowest index: a
+    # partition finds the k-th largest, and if more than k reach it, those
+    # equal to it are taken from the lowest index up, as a stable sort takes
+    # them.  NaN ranks last, as it sorts.
+    if k == 0:
+        return np.zeros(B.shape, dtype=bool)
+    mag, n = np.fmax(np.abs(B), -1.0), B.shape[1]
+    kth = np.partition(mag, n - k, axis=1)[:, n - k : n - k + 1]
+    mask = mag >= kth
+    if np.count_nonzero(mask) > k * len(B):
+        np.greater(mag, kth, out=mask)
+        ties = mag == kth
+        short = k - np.count_nonzero(mask, axis=1, keepdims=True)
+        mask |= ties & (np.cumsum(ties, axis=1) <= short)
+    return mask
 
 
 def project_rows(X, support: RowSupport) -> np.ndarray:

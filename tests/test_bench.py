@@ -317,6 +317,19 @@ def test_solver_config_rejects_non_integer_counts(name, value):
         SolverConfig(**{"k": 3, name: value})
 
 
+@pytest.mark.parametrize("name, value", [("gamma", True), ("tol", False), ("tol", True)])
+def test_solver_config_rejects_bool_reals(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a"):
+        SolverConfig(**{"k": 1, name: value})
+
+
+@pytest.mark.parametrize("name, value", [("gamma", True), ("tol", False),
+                                         ("noise_sigma", True), ("noise_sigma", False)])
+def test_spec_rejects_bool_reals(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be a"):
+        small_spec(**{name: value})
+
+
 def test_solver_config_accepts_any_integer_seed():
     for seed in (np.int64(7), np.uint64(2**64 - 1), -3, derive_seed(5, 0, 1)):
         assert SolverConfig(k=3, seed=seed).seed == seed

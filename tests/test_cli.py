@@ -200,6 +200,22 @@ def test_sweep_rejects_non_integer_config_before_any_output(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("gamma", True), ("noise_sigma", True),
+                                          ("tol", False)])
+def test_sweep_rejects_bool_real_config_before_any_output(
+    tmp_path, capsys, no_work, field, value
+):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"n": 30, "m": 20, "L": 3, "k": 3, field: value}))
+    out = tmp_path / "sweep"
+    code = cli.main(["sweep", "--param", "noise", "--values", "0.01",
+                     "--base-config", str(cfg_path), "--out-dir", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"{field} must be a" in err
+    assert not out.exists()
+
+
 UNWRITABLE_OUTPUTS = {
     "run into a missing directory": ["run", "--algo", "mstoiht",
                                      "--out", "{tmp}/missing/x.csv"],

@@ -29,11 +29,9 @@ from mmvgreedy.bench import gaussian_sensing_matrix, row_sparse_signal
 from mmvgreedy.linalg import RngStream, frobenius_norm, row_norms
 from mmvgreedy import solvers
 from mmvgreedy.objective import MmvObjective
-from mmvgreedy.solvers import (
-    SOLVERS, SolverConfig, _batch_grad, _column_grads, _stacked_norms, _top_k_mask,
-)
-from mmvgreedy.sparsity import RowSupport, support_union, top_k_rows
-from oracle_solvers import ORACLES
+from mmvgreedy.solvers import SOLVERS, SolverConfig, _column_grads, _stacked_norms
+from mmvgreedy.sparsity import RowSupport, _top_k_mask, support_union, top_k_rows
+from oracle_solvers import ORACLES, top_k_indices
 
 RTOL = 1e-10
 # (solver, k, max_iter) of the acceptance protocols of the two families
@@ -113,9 +111,9 @@ def test_stacked_selection_ranks_each_row_as_top_k_rows(rows, n, seed, data):
         B = np.round(B) * data.draw(st.sampled_from([1.0, -1.0]))
     k = data.draw(st.integers(0, n))
     mask = _top_k_mask(B, k)
-    for r in range(rows):
+    for r in range(rows):  # against the oracle's frozen stable sort
         assert np.flatnonzero(mask[r]).tolist() == (
-            top_k_rows(B[r][:, None], k).as_array().tolist()
+            top_k_indices(B[r], k).as_array().tolist()
         )
     # each row's norm, stacked, as frobenius_norm takes it
     norms = [frobenius_norm(B[r : r + 1]) for r in range(rows)]
@@ -136,8 +134,9 @@ def test_stacked_selection_ranks_each_row_as_top_k_rows(rows, n, seed, data):
     st.integers(0, 2**32 - 1), st.data(),
 )
 def test_engine_gradients_equal_the_checked_kernels(n, m, L, seed, data):
-    # the joint step's slice gradient equals batch_grad, and the stacked
-    # column gradient equals column_grad row by row, bit for bit
+    # batch_grad on the engine's row slice equals batch_grad on the index
+    # tuple, and the stacked column gradient equals column_grad row by row,
+    # bit for bit
     rng = RngStream(seed, (0,))
     A, X, Y = (rng.standard_normal(shape) for shape in ((m, n), (n, L), (m, L)))
     if data.draw(st.booleans()):  # ties, zeros and signed zeros among them
@@ -147,7 +146,7 @@ def test_engine_gradients_equal_the_checked_kernels(n, m, L, seed, data):
     bounds = [slice(i, min(i + b, m)) for i in range(0, m, b)]
     for batch in bounds:
         rows = tuple(range(batch.start, batch.stop))
-        assert _batch_grad(obj, batch, X).tobytes() == obj.batch_grad(rows, X).tobytes()
+        assert obj.batch_grad(batch, X).tobytes() == obj.batch_grad(rows, X).tobytes()
     cols = np.array(
         sorted(data.draw(st.sets(st.integers(0, L - 1), min_size=1))), dtype=np.intp
     )

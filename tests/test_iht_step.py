@@ -113,7 +113,7 @@ def test_single_row_step_forms_no_dense_gradient(monkeypatch):
     def dense(*args):
         raise AssertionError("the dense gradient was formed")
 
-    monkeypatch.setattr(solvers, "_batch_grad", dense)
+    monkeypatch.setattr(MmvObjective, "batch_grad", dense)
     X, kept = np.zeros((50, 3)), np.empty(0, dtype=np.intp)
     for i in range(10):
         X, kept = _advance(obj, X, kept, i, 10.0, 4)

@@ -91,6 +91,14 @@ def test_batch_grad_rejects_empty_and_out_of_range():
         obj.batch_grad([], X)
     with pytest.raises(ValueError):
         obj.batch_grad([obj.m], X)
+    # a row slice must be a nonempty, in-range, explicit run of step 1
+    bad = [slice(2, 2), slice(-1, 2), slice(0, obj.m + 1), slice(0, 4, 2),
+           slice(None, 2)]
+    for rows in bad:
+        with pytest.raises(ValueError):
+            obj.batch_grad(rows, X)
+        with pytest.raises(ValueError):
+            obj.column_grad(rows, 0, np.zeros(obj.n))
 
 
 def test_mean_of_component_grads_is_full_gradient():
