@@ -12,12 +12,13 @@ different iterations, so the set of active columns shrinks mid-run.
 
 Every GradMP record, joint or concatenated, has between 2k and 3k
 candidate rows: the 2k matched rows united with the k kept ones.  The
-stacked selection ranks each row of the stack as top_k_rows ranks an
-n x 1 block, ties included, and the engine's own expressions keep the
-bits of the checked kernels: the slice gradient is batch_grad's, the
-stacked one-row gradient is column_grad's row by row, the stacked norms
-are frobenius_norm's, and the joint mask selection united with the kept
-rows is support_union(top_k_rows(G, k), kept).
+stacked selection ranks each row of the stack as the oracle's frozen
+stable sort ranks it, ties included, and the engine's expressions keep
+the bits of the checked kernels: batch_grad on a row slice is batch_grad
+on its index tuple, the stacked one-row gradient is column_grad's row by
+row, the stacked norms are frobenius_norm's, and the joint mask
+selection united with the kept rows is the frozen sort of the row norms
+(which top_k_rows gives too) united with them.
 """
 
 import numpy as np
@@ -124,7 +125,9 @@ def test_stacked_selection_ranks_each_row_as_top_k_rows(rows, n, seed, data):
     kept = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=np.intp)
     cand = _top_k_mask(row_norms(G)[None], k)[0]
     cand[kept] = True
-    union = support_union(top_k_rows(G, k), RowSupport(kept, n))
+    ranked = top_k_indices(row_norms(G), k)  # the frozen stable sort of the norms
+    assert top_k_rows(G, k) == ranked
+    union = support_union(ranked, RowSupport(kept, n))
     assert np.flatnonzero(cand).tolist() == union.as_array().tolist()
 
 
