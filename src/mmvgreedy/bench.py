@@ -5,7 +5,9 @@ and the noise from a trial-indexed substream, runs the selected solver,
 and records a relative-error/objective trace.  Per-trial streams are
 derived from (seed, trial), so raising the trial count leaves earlier
 trials bit-identical.  Trials run one after another, and a TraceTable
-keeps each trial's rows at its trial index.
+keeps each trial's trace at its trial index as one record array of
+(iteration, time_s, rel_err, objective) rows, one per iteration; the CSV
+writer formats one such array at a time.
 
 A spec checks its own fields and builds its solver settings as every
 trial does, so SolverConfig's rules, non-finite values and non-integer
@@ -22,10 +24,12 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import recfunctions
 
 from .linalg import RngStream, derive_seed, require_finite, require_int
 from .objective import MmvObjective
@@ -74,15 +78,17 @@ class ExperimentSpec:
             if require_int(getattr(self, name), name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         require_int(self.seed, "seed")
-        if isinstance(self.noise_sigma, bool) or not 0 <= self.noise_sigma < math.inf:
-            raise ValueError(
-                f"noise_sigma must be a finite nonnegative real, got {self.noise_sigma}"
-            )
+        _require_sigma(self.noise_sigma, "noise_sigma")
         if self.algo not in SOLVERS:
             raise ValueError(
                 f"unknown algo {self.algo!r}, expected one of {sorted(SOLVERS)}"
             )
         _solver_config(self, trial=0).check_problem(self.algo, self.n, self.m, self.L)
+
+
+def _require_sigma(sigma, name: str) -> None:
+    if isinstance(sigma, bool) or not 0 <= sigma < math.inf:
+        raise ValueError(f"{name} must be a finite nonnegative real, got {sigma}")
 
 
 def _solver_config(spec: ExperimentSpec, trial: int, ground_truth=None) -> SolverConfig:
@@ -120,8 +126,7 @@ def row_sparse_signal(n: int, L: int, k: int, rng: RngStream) -> np.ndarray:
 
 def add_noise(Y, sigma: float, rng: RngStream) -> np.ndarray:
     """Add zero-mean Gaussian noise with standard deviation sigma."""
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and nonnegative, got {sigma}")
+    _require_sigma(sigma, "sigma")
     Y = np.asarray(Y, dtype=np.float64)
     if sigma == 0:
         return Y.copy()
@@ -138,37 +143,36 @@ def generate_instance(spec: ExperimentSpec, trial: int):
     return A, X_star, Y
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    trial: object  # int trial index, or "mean"/"median" for aggregates
-    algo: str
-    iteration: int
-    time_s: float
-    rel_err: float
-    objective: float
+TRACE_DTYPE = np.dtype([
+    ("iteration", "i8"), ("time_s", "f8"), ("rel_err", "f8"), ("objective", "f8"),
+])
+TraceRow = namedtuple("TraceRow", ["trial", "algo", *TRACE_DTYPE.names])
 
 
 @dataclass
 class TraceTable:
-    """Per-trial trace rows plus cross-trial mean/median curves.
+    """Per-trial trace arrays plus cross-trial mean/median curves.
 
-    by_trial[t] holds trial t's rows, one per iteration from 0 to its last,
-    with no gaps; a diverged trial keeps the rows before the failure.
+    by_trial[t] is trial t's TRACE_DTYPE record array, one row per iteration
+    from 0 to its last with no gaps; a diverged trial keeps the rows before
+    the failure.  aggregates maps "mean" and "median" to curves of that dtype.
     """
 
     spec: ExperimentSpec
     by_trial: list = field(default_factory=list)
-    aggregates: list = field(default_factory=list)
+    aggregates: dict = field(default_factory=dict)
     divergences: dict = field(default_factory=dict)
 
     @property
-    def rows(self) -> tuple:
-        """Every trial's rows, in trial order."""
-        return tuple(itertools.chain.from_iterable(self.by_trial))
+    def rows(self):
+        """Every trial's rows as TraceRows, in trial order, made as iterated."""
+        for trial, rows in enumerate(self.by_trial):
+            for row in rows.tolist():
+                yield TraceRow(trial, self.spec.algo, *row)
 
     def final_rel_errs(self) -> np.ndarray:
         """Final relative error of each trial, in trial order."""
-        return np.array([rows[-1].rel_err for rows in self.by_trial])
+        return np.array([rows["rel_err"][-1] for rows in self.by_trial])
 
     def hit_iterations(self, threshold: float) -> np.ndarray:
         """First iteration at which each trial's error reaches threshold.
@@ -176,31 +180,36 @@ class TraceTable:
         Trials that never reach it get max_iter + 1 so medians stay
         comparable.
         """
-        miss = self.spec.max_iter + 1
         hits = [
-            next((r.iteration for r in rows if r.rel_err <= threshold), miss)
-            for rows in self.by_trial
+            rows["iteration"][rows["rel_err"] <= threshold] for rows in self.by_trial
         ]
-        return np.array(hits, dtype=np.float64)
+        miss = self.spec.max_iter + 1
+        return np.array([h[0] if h.size else miss for h in hits], dtype=np.float64)
 
     def total_times(self) -> np.ndarray:
         """Measured solver seconds per trial."""
-        return np.array([rows[-1].time_s for rows in self.by_trial])
+        return np.array([rows["time_s"][-1] for rows in self.by_trial])
 
-    def to_csv_text(self, timing: str = "off") -> str:
+    def _csv_chunks(self, timing: str):
+        """The CSV text in pieces: the header, then each trial and curve."""
         if timing not in ("off", "wall"):
             raise ValueError("timing must be 'off' or 'wall'")
-        lines = [CSV_HEADER]
-        for r in itertools.chain(*self.by_trial, self.aggregates):
-            t = r.time_s if timing == "wall" else 0.0
-            lines.append(
-                f"{r.trial},{r.algo},{r.iteration},{t!r},{r.rel_err!r},{r.objective!r}"
-            )
-        return "\n".join(lines) + "\n"
+        yield CSV_HEADER + "\n"
+        traces = itertools.chain(enumerate(self.by_trial), self.aggregates.items())
+        for label, rows in traces:
+            its, times, errs, objs = (rows[name].tolist() for name in TRACE_DTYPE.names)
+            times = map(repr, times) if timing == "wall" else ["0.0"] * len(rows)
+            yield "".join([
+                f"{label},{self.spec.algo},{it},{t},{err!r},{obj!r}\n"
+                for it, t, err, obj in zip(its, times, errs, objs)
+            ])
+
+    def to_csv_text(self, timing: str = "off") -> str:
+        return "".join(self._csv_chunks(timing))
 
     def write_csv(self, path, timing: str = "off") -> None:
         with open(path, "w", newline="\n") as fh:
-            fh.write(self.to_csv_text(timing))
+            fh.writelines(self._csv_chunks(timing))
 
 
 def _run_trial(spec: ExperimentSpec, trial: int):
@@ -210,32 +219,26 @@ def _run_trial(spec: ExperimentSpec, trial: int):
     try:
         records = SOLVERS[spec.algo](obj, _solver_config(spec, trial, X_star)).records
     except DivergenceError as exc:
-        records = exc.records
-        failure = str(exc)
-    f0 = obj.value(np.zeros((obj.n, obj.L)))
-    rows = [TraceRow(trial, spec.algo, 0, 0.0, 1.0, f0)]
-    rows.extend(
-        TraceRow(trial, spec.algo, r.iteration, r.elapsed_s, r.rel_err, r.objective)
-        for r in records
-    )
-    return tuple(rows), failure
+        records, failure = exc.records, str(exc)
+    rows = [(0, 0.0, 1.0, obj.value(np.zeros((obj.n, obj.L))))]
+    rows += [(r.iteration, r.elapsed_s, r.rel_err, r.objective) for r in records]
+    return np.array(rows, dtype=TRACE_DTYPE), failure
 
 
-def _aggregate(spec: ExperimentSpec, by_trial) -> list:
-    # a trial that stopped early carries its last row forward
+def _aggregate(by_trial) -> dict:
+    # stopped trials carry their last row forward; C order keeps the curves' bits
     horizon = max(map(len, by_trial))
-    padded = [rows + rows[-1:] * (horizon - len(rows)) for rows in by_trial]
-    series = np.array(
-        [[(r.time_s, r.rel_err, r.objective) for r in rows] for rows in padded]
-    )
-    out = []
-    for label, reducer in (("mean", np.mean), ("median", np.median)):
-        stats = reducer(series, axis=0)
-        out.extend(
-            TraceRow(label, spec.algo, it, *map(float, stats[it]))
-            for it in range(horizon)
+    iterations = np.arange(horizon)[:, None]
+    values = np.empty((len(by_trial), horizon, 3))
+    for stack, rows in zip(values, by_trial):
+        padded = rows[np.minimum(iterations[:, 0], len(rows) - 1)]
+        stack[:] = recfunctions.structured_to_unstructured(padded)[:, 1:]
+    return {
+        label: recfunctions.unstructured_to_structured(
+            np.hstack([iterations, reducer(values, axis=0)]), dtype=TRACE_DTYPE
         )
-    return out
+        for label, reducer in (("mean", np.mean), ("median", np.median))
+    }
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> TraceTable:
@@ -247,13 +250,10 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> TraceTable:
     """
     if workers != 1:
         raise ValueError(f"trials run one by one; workers must be 1, got {workers}")
-    results = [_run_trial(spec, trial) for trial in range(spec.trials)]
-    by_trial = [rows for rows, _ in results]
+    by_trial, failures = zip(*(_run_trial(spec, t) for t in range(spec.trials)))
     return TraceTable(
-        spec=spec,
-        by_trial=by_trial,
-        aggregates=_aggregate(spec, by_trial),
-        divergences={t: msg for t, (_, msg) in enumerate(results) if msg},
+        spec, list(by_trial), _aggregate(by_trial),
+        divergences={t: msg for t, msg in enumerate(failures) if msg},
     )
 
 

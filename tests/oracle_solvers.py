@@ -5,8 +5,10 @@ one iteration engine: two joint loops and two per-column loops, with the
 helpers they used.  The per-column kernels the loops called
 (`MmvObjective.column_grad`, `MmvObjective.restricted_column_argmin` and
 `sparsity.top_k_indices`) are copied here as functions, so the reference
-keeps working if the package drops them.  The kernels shared with the
-engine (`batch_grad`, `restricted_argmin`, `top_k_rows`, `project_rows`,
+keeps working if the package drops them.  The row selection
+(`sparsity.top_k_rows`) is copied too, as the stable sort it was, so the
+engine's tie rule is checked against an independent one.  The kernels
+shared with the engine (`batch_grad`, `restricted_argmin`, `project_rows`,
 `support_union`, `row_support`, `draw_index`) come from the package, so a
 change to one of them shows in both.  Do not edit the loops: they define
 what "the same behaviour" means for the solvers.
@@ -19,7 +21,7 @@ import time
 
 import numpy as np
 
-from mmvgreedy.linalg import RngStream, draw_index, least_squares_solve
+from mmvgreedy.linalg import RngStream, draw_index, least_squares_solve, row_norms
 from mmvgreedy.objective import MmvObjective, batch_partition
 from mmvgreedy.solvers import (
     DivergenceError,
@@ -32,7 +34,6 @@ from mmvgreedy.sparsity import (
     project_rows,
     row_support,
     support_union,
-    top_k_rows,
 )
 
 
@@ -44,6 +45,12 @@ def _top_k(scores: np.ndarray, k: int, ambient: int) -> RowSupport:
     # stable sort on the negated scores keeps the smaller index on ties
     order = np.argsort(-scores, kind="stable")
     return RowSupport(np.sort(order[:k]), ambient)
+
+
+def top_k_rows(X, k: int) -> RowSupport:
+    """Indices of the k rows of X with largest Euclidean norm."""
+    norms = row_norms(X)
+    return _top_k(norms, k, norms.size)
 
 
 def top_k_indices(w, k: int) -> RowSupport:

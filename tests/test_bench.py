@@ -1,3 +1,4 @@
+import collections.abc
 import dataclasses
 import statistics
 
@@ -6,6 +7,7 @@ import pytest
 
 from mmvgreedy.bench import (
     CSV_HEADER,
+    TRACE_DTYPE,
     ExperimentSpec,
     add_noise,
     gaussian_sensing_matrix,
@@ -80,8 +82,8 @@ def test_signal_support_is_uniform():
 def test_add_noise_zero_sigma_is_identity():
     Y = RngStream(5, (0,)).standard_normal((4, 3))
     np.testing.assert_array_equal(add_noise(Y, 0.0, RngStream(6, (0,))), Y)
-    for sigma in (-0.1, np.nan, np.inf):
-        with pytest.raises(ValueError):
+    for sigma in (-0.1, np.nan, np.inf, True, False):
+        with pytest.raises(ValueError, match="sigma must be a finite nonnegative real"):
             add_noise(Y, sigma, RngStream(6, (0,)))
 
 
@@ -104,15 +106,15 @@ def test_add_noise_deterministic():
 def test_trace_table_shape_single_trial_single_iter():
     table = run_experiment(small_spec(trials=1, max_iter=1))
     rows = table.by_trial[0]
-    assert [r.iteration for r in rows] == [0, 1]
-    assert rows[0].rel_err == 1.0
-    assert rows[0].time_s == 0.0
+    assert rows["iteration"].tolist() == [0, 1]
+    assert rows["rel_err"][0] == 1.0
+    assert rows["time_s"][0] == 0.0
 
 
 def test_trace_starts_at_unit_error():
     table = run_experiment(small_spec())
     for trial in range(3):
-        assert table.by_trial[trial][0].rel_err == 1.0
+        assert table.by_trial[trial]["rel_err"][0] == 1.0
 
 
 def test_csv_header_and_determinism():
@@ -140,20 +142,30 @@ def test_first_trials_invariant_under_trial_count():
     few = run_experiment(small_spec(trials=2))
     many = run_experiment(small_spec(trials=5))
     for trial in range(2):
-        a = few.by_trial[trial]
-        b = many.by_trial[trial]
-        assert [(r.iteration, r.rel_err, r.objective) for r in a] == [
-            (r.iteration, r.rel_err, r.objective) for r in b
-        ]
+        untimed = ["iteration", "rel_err", "objective"]
+        a = few.by_trial[trial][untimed].tolist()
+        assert a == many.by_trial[trial][untimed].tolist()
 
 
 def test_aggregate_rows_cover_every_iteration():
     table = run_experiment(small_spec(tol=1e-3, max_iter=20))
     horizon = max(r.iteration for r in table.rows)
-    means = [r for r in table.aggregates if r.trial == "mean"]
-    medians = [r for r in table.aggregates if r.trial == "median"]
-    assert [r.iteration for r in means] == list(range(horizon + 1))
-    assert [r.iteration for r in medians] == list(range(horizon + 1))
+    assert list(table.aggregates) == ["mean", "median"]
+    for curve in table.aggregates.values():
+        assert curve.dtype == TRACE_DTYPE
+        assert curve["iteration"].tolist() == list(range(horizon + 1))
+
+
+def test_trace_table_stores_one_array_per_trial():
+    spec = small_spec(tol=1e-3, max_iter=20, trials=4)
+    table = run_experiment(spec)
+    assert len(table.by_trial) == spec.trials
+    for trace in table.by_trial:
+        assert isinstance(trace, np.ndarray) and trace.dtype == TRACE_DTYPE
+        assert trace["iteration"].tolist() == list(range(len(trace)))
+    assert isinstance(table.rows, collections.abc.Iterator)
+    assert not isinstance(table.rows, tuple)
+    assert {r.trial for r in table.rows} == set(range(spec.trials))
 
 
 def test_queries_and_aggregates_match_the_csv_rows():
@@ -175,10 +187,7 @@ def test_queries_and_aggregates_match_the_csv_rows():
 
     for t, trial in enumerate(trials):
         assert [r[0] for r in trial] == list(range(len(trial)))
-        assert [
-            (r.iteration, r.time_s, r.rel_err, r.objective)
-            for r in table.by_trial[t]
-        ] == trial
+        assert table.by_trial[t].tolist() == trial
     assert list(table.final_rel_errs()) == [trial[-1][2] for trial in trials]
     assert list(table.total_times()) == [trial[-1][1] for trial in trials]
     for threshold in (0.5, 1e-2, 1e-8):
@@ -214,7 +223,7 @@ def test_divergence_is_recorded_not_fatal():
     assert table.divergences  # at least one trial blew up
     # rows for the diverged trial still present (iteration 0 at minimum)
     for trial in table.divergences:
-        assert table.by_trial[trial]
+        assert len(table.by_trial[trial]) >= 1
 
 
 def test_generate_instance_consistency():

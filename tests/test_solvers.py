@@ -249,7 +249,7 @@ def test_divergence_guard_raises_with_partial_records():
     with np.errstate(over="ignore"):
         table = run_experiment(spec)
     assert "non-finite" in table.divergences[0]
-    assert [row.iteration for row in table.by_trial[0]] == [0]
+    assert table.by_trial[0]["iteration"].tolist() == [0]
 
 
 def test_noise_floor_monotone_in_sigma():

@@ -4,10 +4,16 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tests/trace_hash.py [--runs 600] [--seed 0]
 
-It prints one line: the number of iteration records and a sha256 over every
-record (all fields but elapsed_s), stop reason, estimate and divergence
-message.  A change that must keep the solvers' bits prints the same line as
-its parent.  The draws reach shapes the benchmark workloads do not: n from 4
+It prints two lines.  The first gives the number of iteration records and
+a sha256 over every record (all fields but elapsed_s), stop reason,
+estimate and divergence message.  The second gives the number of trace
+tables and CSV lines and a sha256 over the CSV text (timing off) of the
+seeded `run_experiment` and `run_sweep` calls in CSV_SPECS and SWEEP: all
+four solvers, diverged trials, tolerance and max_iter stops, and trials of
+different lengths, so the mean/median curves carry rows forward.  Those
+calls keep their own seeds; --seed moves only the first line.  A change
+that must keep the solvers' bits prints the same first line as its
+parent, and one that must keep the CSV bytes the same second line.  The draws reach shapes the benchmark workloads do not: n from 4
 to 40, m from 1 to 30, L from 1 to 5 (one run in five has L = 1), batch size
 1 in half the runs and any size up to m in the others, gamma in {0.5, 1, 2},
 tol in {0, 1e-6, 1e-2}, noise sigma in {0, 0.05}, sensing matrices with
@@ -20,13 +26,33 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import tempfile
 
 import numpy as np
 
+from mmvgreedy.bench import ExperimentSpec, run_experiment, run_sweep
 from mmvgreedy.objective import MmvObjective
 from mmvgreedy.solvers import SOLVERS, DivergenceError, SolverConfig
 
 ALGOS = ("mstoiht", "cstoiht", "mstogradmp", "cstogradmp")
+
+CSV_SPECS = (
+    # trials 3 and 5 diverge, trial 1 stops at max_iter, the rest on tolerance
+    ExperimentSpec(n=30, m=20, L=3, k=3, algo="mstoiht", batch_size=20, gamma=20.0,
+                   max_iter=300, tol=1e-3, trials=6, seed=42),
+    ExperimentSpec(n=40, m=30, L=3, k=2, algo="cstoiht", batch_size=30,
+                   max_iter=150, tol=1e-3, trials=4, seed=3),
+    ExperimentSpec(n=40, m=20, L=4, k=3, algo="mstogradmp", max_iter=30, tol=1e-8,
+                   trials=4, seed=5),
+    ExperimentSpec(n=40, m=20, L=4, k=3, algo="cstogradmp", batch_size=3,
+                   max_iter=12, tol=1e-9, trials=4, seed=6),
+)
+SWEEP = (
+    ExperimentSpec(n=40, m=20, L=4, k=3, algo="mstogradmp", batch_size=5,
+                   max_iter=30, tol=1e-6, trials=4, seed=7),
+    "noise",
+    (0.0, 0.05),
+)
 
 
 def solve(seed: int, run: int):
@@ -59,6 +85,15 @@ def solve(seed: int, run: int):
     return header, trace.records, trace.stop_reason, trace.estimate, None
 
 
+def csv_digest():
+    """(tables, lines, sha256) over the CSV text of CSV_SPECS and SWEEP."""
+    texts = [run_experiment(spec).to_csv_text() for spec in CSV_SPECS]
+    with tempfile.TemporaryDirectory() as out_dir:
+        texts += [path.read_text() for path in run_sweep(*SWEEP, out_dir)]
+    text = "".join(texts)
+    return len(texts), text.count("\n"), hashlib.sha256(text.encode()).hexdigest()
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--runs", type=int, default=600)
@@ -77,6 +112,8 @@ def main(argv=None) -> int:
             digest.update(estimate.tobytes())
         count += len(records)
     print(f"runs {args.runs} records {count} sha256 {digest.hexdigest()}")
+    tables, lines, sha256 = csv_digest()
+    print(f"tables {tables} csv lines {lines} sha256 {sha256}")
     return 0
 
 
