@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from numpy.lib import recfunctions
 
 from .linalg import RngStream, derive_seed, require_finite, require_int
 from .objective import MmvObjective
@@ -146,6 +145,7 @@ def generate_instance(spec: ExperimentSpec, trial: int):
 TRACE_DTYPE = np.dtype([
     ("iteration", "i8"), ("time_s", "f8"), ("rel_err", "f8"), ("objective", "f8"),
 ])
+VALUE_FIELDS = TRACE_DTYPE.names[1:]
 TraceRow = namedtuple("TraceRow", ["trial", "algo", *TRACE_DTYPE.names])
 
 
@@ -180,9 +180,7 @@ class TraceTable:
         Trials that never reach it get max_iter + 1 so medians stay
         comparable.
         """
-        hits = [
-            rows["iteration"][rows["rel_err"] <= threshold] for rows in self.by_trial
-        ]
+        hits = [r["iteration"][r["rel_err"] <= threshold] for r in self.by_trial]
         miss = self.spec.max_iter + 1
         return np.array([h[0] if h.size else miss for h in hits], dtype=np.float64)
 
@@ -228,17 +226,18 @@ def _run_trial(spec: ExperimentSpec, trial: int):
 def _aggregate(by_trial) -> dict:
     # stopped trials carry their last row forward; C order keeps the curves' bits
     horizon = max(map(len, by_trial))
-    iterations = np.arange(horizon)[:, None]
-    values = np.empty((len(by_trial), horizon, 3))
+    iterations = np.arange(horizon)
+    values = np.empty((len(by_trial), horizon, len(VALUE_FIELDS)))
     for stack, rows in zip(values, by_trial):
-        padded = rows[np.minimum(iterations[:, 0], len(rows) - 1)]
-        stack[:] = recfunctions.structured_to_unstructured(padded)[:, 1:]
-    return {
-        label: recfunctions.unstructured_to_structured(
-            np.hstack([iterations, reducer(values, axis=0)]), dtype=TRACE_DTYPE
-        )
-        for label, reducer in (("mean", np.mean), ("median", np.median))
-    }
+        padded = rows[np.minimum(iterations, len(rows) - 1)]
+        stack[:] = np.column_stack([padded[name] for name in VALUE_FIELDS])
+    curves = {}
+    for label, reducer in (("mean", np.mean), ("median", np.median)):
+        curve = curves[label] = np.empty(horizon, TRACE_DTYPE)
+        curve["iteration"] = iterations
+        for name, column in zip(VALUE_FIELDS, reducer(values, axis=0).T):
+            curve[name] = column
+    return curves
 
 
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> TraceTable:
