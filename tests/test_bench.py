@@ -141,8 +141,8 @@ def test_csv_wall_timing_differs_but_default_is_stable():
 def test_first_trials_invariant_under_trial_count():
     few = run_experiment(small_spec(trials=2))
     many = run_experiment(small_spec(trials=5))
+    untimed = ["iteration", "rel_err", "objective"]
     for trial in range(2):
-        untimed = ["iteration", "rel_err", "objective"]
         a = few.by_trial[trial][untimed].tolist()
         assert a == many.by_trial[trial][untimed].tolist()
 
@@ -163,8 +163,7 @@ def test_trace_table_stores_one_array_per_trial():
     for trace in table.by_trial:
         assert isinstance(trace, np.ndarray) and trace.dtype == TRACE_DTYPE
         assert trace["iteration"].tolist() == list(range(len(trace)))
-    assert isinstance(table.rows, collections.abc.Iterator)
-    assert not isinstance(table.rows, tuple)
+    assert isinstance(table.rows, collections.abc.Iterator)  # so not a tuple
     assert {r.trial for r in table.rows} == set(range(spec.trials))
 
 

@@ -1,4 +1,4 @@
-"""One hash over the traces of many seeded random solves of all four solvers.
+"""Two hashes: seeded random solves of all four solvers, and seeded CSV output.
 
 Run from the repository root:
 
@@ -6,20 +6,24 @@ Run from the repository root:
 
 It prints two lines.  The first gives the number of iteration records and
 a sha256 over every record (all fields but elapsed_s), stop reason,
-estimate and divergence message.  The second gives the number of trace
-tables and CSV lines and a sha256 over the CSV text (timing off) of the
-seeded `run_experiment` and `run_sweep` calls in CSV_SPECS and SWEEP: all
-four solvers, diverged trials, tolerance and max_iter stops, and trials of
-different lengths, so the mean/median curves carry rows forward.  Those
-calls keep their own seeds; --seed moves only the first line.  A change
-that must keep the solvers' bits prints the same first line as its
-parent, and one that must keep the CSV bytes the same second line.  The draws reach shapes the benchmark workloads do not: n from 4
-to 40, m from 1 to 30, L from 1 to 5 (one run in five has L = 1), batch size
-1 in half the runs and any size up to m in the others, gamma in {0.5, 1, 2},
+estimate and divergence message of --runs random solves.  A change that
+must keep the solvers' bits prints the same first line as its parent.
+The draws reach shapes the benchmark workloads do not: n from 4 to 40, m
+from 1 to 30, L from 1 to 5 (one run in five has L = 1), batch size 1 in
+half the runs and any size up to m in the others, gamma in {0.5, 1, 2},
 tol in {0, 1e-6, 1e-2}, noise sigma in {0, 0.05}, sensing matrices with
 unit columns, some rounded (ties in the selections), and runs with and
 without a ground truth.  Some IHT runs diverge; their partial records and
-messages are hashed too.  pytest does not collect this file.
+messages are hashed too.
+
+The second line gives the number of trace tables and CSV lines and a
+sha256 over the CSV text (timing off) of the `run_experiment` and
+`run_sweep` calls in CSV_SPECS and SWEEP: all four solvers, diverged
+trials, tolerance and max_iter stops, and trials of different lengths, so
+the mean/median curves carry rows forward.  Those calls keep their own
+seeds; --seed moves only the first line.  A change that must keep the CSV
+bytes prints the same second line as its parent.  pytest does not collect
+this file.
 """
 
 from __future__ import annotations
