@@ -206,8 +206,11 @@ class TraceTable:
         return "".join(self._csv_chunks(timing))
 
     def write_csv(self, path, timing: str = "off") -> None:
+        chunks = self._csv_chunks(timing)
+        header = next(chunks)  # checks timing before the file is opened
         with open(path, "w", newline="\n") as fh:
-            fh.writelines(self._csv_chunks(timing))
+            fh.write(header)
+            fh.writelines(chunks)
 
 
 def _run_trial(spec: ExperimentSpec, trial: int):

@@ -13,6 +13,28 @@ the s x s matrix A^T A, each by Cholesky.  A guard sends the solve to the
 SVD driver (LAPACK gelsd) whenever that Gram matrix is singular or too
 ill-conditioned for the normal equations to be accurate, so the result is
 always the minimum-norm least-squares solution up to rounding.
+
+A wide solve restricted to the rows S of a whole sensing matrix A (m x n)
+has a second route through the row-space projector Q = A^T (A A^T)^-1 A
+and V = A^T (A A^T)^-1 Y = pinv(A) Y, both built once per A.  By the
+Woodbury identity A_S A_S^T = A A^T - A_c A_c^T for the complement c of
+S; with L L^T = A A^T and W = L^-1 A that is L (I - W_c W_c^T) L^T, and
+I - W_c W_c^T (m x m) has the eigenvalues of I - Q_cc = I - W_c^T W_c
+(c x c) and ones.  I - Q projects onto null(A), so x = V - (I - Q)_:c w
+solves A x = Y for every w; x_c = 0 fixes w = (I - Q_cc)^-1 V_c, and x is
+then orthogonal to every null vector of A_S, so it is the minimum-norm
+solution on S:
+
+    x_S = V_S + Q_Sc (I - Q_cc)^-1 V_c.
+
+One c x c Cholesky replaces the m x m one, which pays when c < m <= |S|.
+The guard: I - Q_cc is singular exactly when A_S loses full row rank, and
+cond(A_S A_S^T) <= cond(A A^T) ||(I - Q_cc)^-1||_2.  The projector is
+built only when A A^T passes the Gram guard, and a solve takes it only
+when the product of the two reciprocal estimates, rcond(A A^T) and
+1 / ||(I - Q_cc)^-1||_1 (the norm of I - W_c W_c^T being 1), reaches
+_GRAM_RCOND_MIN: the cap the Gram guard puts on cond(A_S A_S^T).  A
+failed guard sends the solve to least_squares_solve.
 """
 
 from __future__ import annotations
@@ -83,6 +105,24 @@ _GRAM_RCOND_MIN = 1e-5
 _EPS = np.finfo(np.float64).eps
 
 
+def _gram_cholesky(G, rcond_min=_GRAM_RCOND_MIN, anorm=None):
+    """(C, rcond): the upper Cholesky factor of symmetric G and its rcond.
+
+    rcond is dpocon's estimate of 1 / (anorm ||G^-1||_1), with anorm
+    ||G||_1 by default.  G is overwritten.  C is None when the
+    factorization fails or rcond is below rcond_min: the one guard of
+    every normal-equation solve.
+    """
+    if anorm is None:
+        anorm = np.linalg.norm(G, 1)
+    C, info = lapack.dpotrf(G, overwrite_a=True, clean=False)
+    if info == 0:
+        rcond, info = lapack.dpocon(C, anorm)
+        if info == 0 and rcond >= rcond_min:
+            return C, rcond
+    return None, 0.0
+
+
 def least_squares_solve(A_sub, Y) -> np.ndarray:
     """Minimum-Frobenius-norm solution B of min ||Y - A_sub @ B||_F.
 
@@ -113,21 +153,58 @@ def least_squares_solve(A_sub, Y) -> np.ndarray:
     # trial took 0.28 s instead of 0.009 s).  A_sub.T is A_sub's own buffer
     # in Fortran order, so BLAS reads it without a copy.
     At = A_sub.T
-    G = blas.dgemm(1.0, At, At, trans_a=int(wide), trans_b=int(not wide))
-    anorm = np.linalg.norm(G, 1)
-    C, info = lapack.dpotrf(G, overwrite_a=True, clean=False)
-    if info == 0:
-        rcond, info = lapack.dpocon(C, anorm)
-        if info == 0 and rcond >= _GRAM_RCOND_MIN:
-            if wide:
-                return blas.dgemm(1.0, At, lapack.dpotrs(C, Y)[0])
-            return lapack.dpotrs(C, blas.dgemm(1.0, At, Y.T, trans_b=1))[0]
+    C, _ = _gram_cholesky(blas.dgemm(1.0, At, At, trans_a=int(wide), trans_b=int(not wide)))
+    if C is not None:
+        if wide:
+            return blas.dgemm(1.0, At, lapack.dpotrs(C, Y)[0])
+        return lapack.dpotrs(C, blas.dgemm(1.0, At, Y.T, trans_b=1))[0]
     # singular values below max(m, s) * eps * sigma_max (numpy.linalg.lstsq's
     # cutoff) are rounding noise of an exactly rank-deficient block, such as
     # one with a repeated column; inverting them would swamp the solution
     B, _, _, _ = scipy.linalg.lstsq(
         A_sub, Y, cond=max(m, s) * _EPS, lapack_driver="gelsd", check_finite=False
     )
+    return B
+
+
+def _row_space_projector(A, Y):
+    """(Q, V) = (A^T (A A^T)^-1 A, A^T (A A^T)^-1 Y), or None.
+
+    With L L^T = A A^T and W = L^-1 A, Q = W^T W (mirrored from one
+    triangle, so exactly symmetric) and V = W^T (L^-1 Y) = pinv(A) Y.  None
+    when A A^T fails the Gram guard.  V comes in C order.
+    """
+    At = A.T
+    C, rcond = _gram_cholesky(blas.dgemm(1.0, At, At, trans_a=1))
+    if C is None:
+        return None
+    W = lapack.dtrtrs(C, A, trans=1)[0]  # C is L^T
+    Q = np.triu(blas.dsyrk(1.0, W, trans=1))
+    Q += np.triu(Q, 1).T
+    Vt = blas.dgemm(1.0, lapack.dtrtrs(C, Y, trans=1)[0], W, trans_a=1)
+    return Q, Vt.T, _GRAM_RCOND_MIN / rcond
+
+
+def _complement_solve(Q, V, rcond_min, rest, cols):
+    """Min-norm solve on the rows off rest, from _row_space_projector's Q, V.
+
+    Returns the n-row block, zero on rest, of x_S = V_S + Q_Sc (I - Q_cc)^-1
+    V_c for the complement c = rest and the columns cols (a slice) of V, or
+    None when I - Q_cc fails the Gram guard.
+    """
+    if not rest.size:
+        return V[:, cols].copy()
+    QR = Q[rest]
+    G = QR[:, rest]  # symmetric, so its F-order transpose is the same matrix
+    np.negative(G, out=G)
+    G.flat[:: rest.size + 1] += 1.0
+    C, _ = _gram_cholesky(G.T, rcond_min, anorm=1.0)
+    if C is None:
+        return None
+    w = lapack.dpotrs(C, V[rest, cols])[0]
+    # (V + Q_:c w)^T in F order, which is V + Q_:c w in C order
+    B = blas.dgemm(1.0, w, QR.T, beta=1.0, c=V.T[cols], trans_a=1, trans_b=1).T
+    B[rest] = 0.0
     return B
 
 

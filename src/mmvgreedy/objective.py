@@ -13,15 +13,27 @@ over a set of rows: indices, or a contiguous row slice checked in O(1))
 and support-restricted minimization.  The objective is separable across
 signal columns: the per-column kernels run the one gradient body and the
 one solve body on the single-column problem (A, Y[:, j]).
+
+A restricted solve on a support S takes one of two routes.  When |S| >= m
+and the complement c has fewer than m rows, it goes through the row-space
+projector of A (see linalg): Q = A^T (A A^T)^-1 A (n x n) and
+V = A^T (A A^T)^-1 Y (n x L), built on the first such solve and kept, and
+one c x c Cholesky per solve.  Every other shape, and every solve whose
+guard fails, goes to least_squares_solve(A[:, S], Y), which forms
+A_S A_S^T or A_S^T A_S.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, least_squares_solve, require_finite
+from .linalg import (
+    _complement_solve, _row_space_projector, as_matrix, least_squares_solve,
+    require_finite,
+)
 from .sparsity import RowSupport
 
 __all__ = ["MmvObjective", "BatchPlan", "batch_partition"]
@@ -120,9 +132,23 @@ class MmvObjective:
             return support.as_array()
         return support
 
-    def _argmin(self, support, Y) -> np.ndarray:
-        # zero off the support, the min-norm least-squares block on it
+    @cached_property
+    def _projector(self):
+        # (Q, V) of the row space of A, built on the first wide solve that
+        # takes it; None when A A^T fails the Gram guard
+        return _row_space_projector(self.A, self.Y)
+
+    def _argmin(self, support, cols) -> np.ndarray:
+        # zero off the support, the min-norm least-squares block on it for
+        # the columns cols (a slice) of Y
         idx = self._support_rows(support)
+        if len(idx) >= self.m > self.n - len(idx) and self._projector is not None:
+            rest = np.ones(self.n, bool)
+            rest[idx] = False
+            B = _complement_solve(*self._projector, np.flatnonzero(rest), cols)
+            if B is not None:
+                return B
+        Y = self.Y[:, cols]
         B = np.zeros((self.n, Y.shape[1]))
         B[idx] = least_squares_solve(self.A[:, idx], Y)
         return B
@@ -134,13 +160,13 @@ class MmvObjective:
         minimum-norm least-squares solution against the selected columns
         of A.
         """
-        return self._argmin(support, self.Y)
+        return self._argmin(support, slice(None))
 
     def restricted_column_argmin(self, support, j: int) -> np.ndarray:
         """restricted_argmin of column j's problem, as a length-n vector."""
         if not 0 <= j < self.L:
             raise ValueError(f"column {j} out of range [0, {self.L})")
-        return self._argmin(support, self.Y[:, j : j + 1]).ravel()
+        return self._argmin(support, slice(j, j + 1)).ravel()
 
     def full_grad(self, X) -> np.ndarray:
         """Exact gradient (1/m) A^T (A X - Y) of F: batch_grad over every row."""

@@ -13,7 +13,9 @@ objective components per problem and applies one step to its iterate:
 * GradMP (``mstogradmp``, ``cstogradmp``), stochastic gradient matching
   pursuit: match the 2k rows of largest gradient norm, unite them with the
   kept support, minimize the objective restricted to that candidate set
-  (at most 3k rows), then keep the k best rows of the minimizer.
+  (at most 3k rows), then keep the k best rows of the minimizer.  For one
+  drawn row the joint step takes the norms of the 2k + 1 rows of largest
+  |a_ij| only, by the same rule, and matches all but the lowest.
 
 Every step has one contract, step(obj, X, kept, cols, batch, scale, k)
 -> (rows, old, new, kept, candidate_size), on index sets the engine built
@@ -190,6 +192,24 @@ def _rel_change(prev_norm: float, diff_norm: float) -> float:
     return diff_norm / prev_norm
 
 
+def _one_row(obj, X, batch, count, skip=None):
+    # (a, r, top) of a one-row batch: its sensing row a, its residual r and
+    # the count rows of largest |a_j| off skip.  Row j of the batch gradient
+    # is a_j r, its norm monotone in |a_j| even after rounding.
+    a = obj.A[batch.start]
+    score = np.abs(a)
+    if skip is not None:
+        score[skip] = -1.0
+    return a, obj.A[batch] @ X - obj.Y[batch], score.argpartition(-count)[-count:]
+
+
+def _strictly_lowest(norms):
+    # a block of the rows of largest |a_j| ranks as all n rows do when its
+    # lowest norm is below all its others: no row off it can outrank those
+    lowest = np.partition(norms, 1)
+    return lowest[0] < lowest[1]
+
+
 def _iht_step(obj, X, kept, cols, batch, scale, k):
     """Scaled stochastic gradient step, then keep the k rows of largest norm.
 
@@ -201,16 +221,12 @@ def _iht_step(obj, X, kept, cols, batch, scale, k):
     candidate size.
     """
     if batch.stop - batch.start == 1 and len(kept) + k + 1 < obj.n:
-        a = obj.A[batch.start]
-        r = obj.A[batch] @ X - obj.Y[batch]
-        score = np.abs(a)
-        score[kept] = -1.0
-        rows = np.concatenate((kept, score.argpartition(-k - 1)[-k - 1 :]))
+        a, r, top = _one_row(obj, X, batch, k + 1, kept)
+        rows = np.concatenate((kept, top))
         old = X.take(rows, 0)
         B = old - scale * (a.take(rows)[:, None] * r)
         norms = row_norms(B)
-        lowest = np.partition(norms[len(kept) :], 1)
-        if lowest[0] < lowest[1]:
+        if _strictly_lowest(norms[len(kept) :]):
             # rank by norm, then by index, as top_k_rows does
             order = np.lexsort((rows, -norms))
             B[order[k:]] = 0.0
@@ -229,8 +245,19 @@ def _gradmp_step(obj, X, kept, cols, batch, scale, k):
     Rank-deficient restricted solves fall back to the minimum-norm
     solution and are not an error.
     """
-    # the rows top_k_rows ranks first, as masks: its _top_k_mask rule on norms
-    cand = _top_k_mask(row_norms(obj.batch_grad(batch, X))[None], _MATCH * k)[0]
+    count, cand = _MATCH * k, None
+    if batch.stop - batch.start == 1 and count < obj.n:
+        # the gradient's rows are a_j r: all but the lowest of the count + 1
+        # rows of largest |a_j|, unless its norm ties
+        a, r, top = _one_row(obj, X, batch, count + 1)
+        norms = row_norms(a.take(top)[:, None] * r)
+        if _strictly_lowest(norms):
+            cand = np.zeros(obj.n, bool)
+            cand[top] = True
+            cand[top[norms.argmin()]] = False
+    if cand is None:
+        # the rows top_k_rows ranks first, as masks: its _top_k_mask rule on norms
+        cand = _top_k_mask(row_norms(obj.batch_grad(batch, X))[None], count)[0]
     cand[kept] = True
     candidate = np.flatnonzero(cand)
     B = obj.restricted_argmin(candidate)

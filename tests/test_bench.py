@@ -138,6 +138,17 @@ def test_csv_wall_timing_differs_but_default_is_stable():
         table.to_csv_text(timing="cpu")
 
 
+def test_write_csv_rejects_a_bad_timing_before_touching_the_file(tmp_path):
+    table = run_experiment(small_spec())
+    path = tmp_path / "trace.csv"
+    path.write_text("kept\n")
+    with pytest.raises(ValueError, match="timing"):
+        table.write_csv(path, timing="cpu")
+    assert path.read_text() == "kept\n"
+    table.write_csv(path)
+    assert path.read_text() == table.to_csv_text()
+
+
 def test_first_trials_invariant_under_trial_count():
     few = run_experiment(small_spec(trials=2))
     many = run_experiment(small_spec(trials=5))

@@ -1,14 +1,16 @@
-"""The single-row IHT step against the dense step, bit for bit.
+"""The single-row IHT and GradMP steps against the dense steps, bit for bit.
 
-At batch size 1 the step forms only the kept rows and the k + 1 other
+At batch size 1 the IHT step forms only the kept rows and the k + 1 other
 rows of largest |a_ij|.  It returns the rows it changes with their old
 and new values, or, on the dense path, the whole new iterate, and leaves
 X as it is.  Whatever it forms, the new iterate and the support must
 equal the dense X - scale * batch_grad, top_k_rows and project_rows,
-including the sign of every zero.  The draws force the cases that can
-break a shortcut: ties in |a_ij| (repeated and sign-flipped entries), a
-zero residual (every row outside the kept support has norm 0), zero
-entries of the drawn row, and n <= |kept| + k + 1.
+including the sign of every zero.  The GradMP step takes the norms of the
+2k + 1 gradient rows of largest |a_ij| only, and must match the 2k rows
+that top_k_rows picks from the dense gradient.  The draws force the cases
+that can break a shortcut: ties in |a_ij| (repeated and sign-flipped
+entries), a zero residual (every row outside the kept support has norm
+0), zero entries of the drawn row, and n <= |kept| + k + 1.
 """
 
 import numpy as np
@@ -19,7 +21,7 @@ from mmvgreedy.bench import gaussian_sensing_matrix
 from mmvgreedy.linalg import RngStream
 from mmvgreedy import solvers
 from mmvgreedy.objective import MmvObjective
-from mmvgreedy.solvers import SolverConfig, _iht_step, mstoiht
+from mmvgreedy.solvers import SolverConfig, _gradmp_step, _iht_step, mstoiht
 from mmvgreedy.sparsity import RowSupport, project_rows, top_k_rows
 
 # few distinct magnitudes, so drawn rows repeat |a_ij| often
@@ -143,3 +145,46 @@ def test_joint_single_row_solve_builds_no_row_support(monkeypatch):
     trace = mstoiht(obj, SolverConfig(k=5, max_iter=100, tol=0.0, seed=5))
     assert trace.iterations == 100
     assert calls == {"support": 0, "value": 100}
+
+
+def _gradmp_candidate(obj, X, kept, i, k):
+    # the rows _gradmp_step hands to restricted_argmin, and its step
+    seen = []
+    solve = obj.restricted_argmin
+    obj.restricted_argmin = lambda rows: seen.append(rows) or solve(rows)
+    step = _gradmp_step(obj, X, kept, [0], slice(i, i + 1), 1.0, k)
+    del obj.restricted_argmin
+    return seen[0], step
+
+
+@settings(max_examples=400)
+@given(single_row_steps())
+def test_single_row_matching_equals_the_dense_matching(step):
+    obj, X, kept, i, _, k = step
+    k = max(1, min(k, obj.n // 2))  # matching pursuit needs 2k <= n
+    # entries near 1e-300 can make the minimizer's norms overflow to inf,
+    # on both sides alike
+    with np.errstate(over="ignore"):
+        candidate, (_, _, B, support, size) = _gradmp_candidate(obj, X, kept, i, k)
+        matched = top_k_rows(obj.batch_grad((i,), X), 2 * k).as_array()
+        B_ref = obj.restricted_argmin(candidate)
+        support_ref = top_k_rows(B_ref, k)
+    assert candidate.tolist() == np.union1d(matched, kept).tolist()
+    assert size == len(candidate)
+    assert support.tolist() == support_ref.as_array().tolist()
+    assert B.tobytes() == project_rows(B_ref, support_ref).tobytes()
+
+
+def test_single_row_matching_forms_no_dense_gradient(monkeypatch):
+    rng = RngStream(6, (0,))
+    A = gaussian_sensing_matrix(10, 50, rng)
+    obj = MmvObjective(A, rng.standard_normal((10, 3)))
+
+    def dense(*args):
+        raise AssertionError("the dense gradient was formed")
+
+    monkeypatch.setattr(MmvObjective, "batch_grad", dense)
+    X, kept = np.zeros((50, 3)), np.empty(0, dtype=np.intp)
+    for i in range(10):
+        _, _, X, kept, size = _gradmp_step(obj, X, kept, [0], slice(i, i + 1), 1.0, 4)
+        assert len(kept) == 4 and 8 <= size <= 12

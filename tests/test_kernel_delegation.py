@@ -6,7 +6,8 @@
 is `batch_grad` over every component.  Under the derandomized profile these
 tests draw shapes, supports and batches and require every value to match,
 bit for bit, the stand-alone copies frozen in oracle_solvers.py and the
-textbook gradient `A^T (A X - Y) / m`.
+textbook gradient `A^T (A X - Y) / m`.  The one exception is a restricted
+solve under the row-space projector rule, which must agree to rounding.
 """
 
 import numpy as np
@@ -18,6 +19,7 @@ import oracle_solvers
 from mmvgreedy.linalg import RngStream
 from mmvgreedy.objective import MmvObjective
 from mmvgreedy.sparsity import RowSupport, top_k_indices
+from test_solver_oracle import RTOL
 
 
 @st.composite
@@ -43,21 +45,42 @@ def _support(draw, obj):
     return RowSupport(np.sort(rows), obj.n)
 
 
-@settings(max_examples=150)
-@given(problems(), st.data())
-def test_column_kernels_match_the_frozen_copies(problem, data):
-    obj, rng = problem
-    j = data.draw(st.integers(0, obj.L - 1))
-    rows = _batch(data.draw, obj)
-    x = rng.standard_normal(obj.n)
-    np.testing.assert_array_equal(
-        obj.column_grad(rows, j, x), oracle_solvers.column_grad(obj, rows, j, x)
-    )
-    support = _support(data.draw, obj)
-    np.testing.assert_array_equal(
-        obj.restricted_column_argmin(support, j),
-        oracle_solvers.restricted_column_argmin(obj, support, j),
-    )
+def _projector_rule(obj, support):
+    # the restricted solves take the row-space projector (when its guards
+    # pass) exactly when |S| >= m and the complement has fewer than m rows
+    s = len(support.as_array())
+    return s >= obj.m > obj.n - s
+
+
+def test_column_kernels_match_the_frozen_copies():
+    # the frozen copy solves through least_squares_solve, as the objective
+    # does on the Gram route: there the bits must match.  Under the
+    # projector rule the objective may solve another way, which moves
+    # rounding only: ROADMAP's rounding mode, within the oracle's RTOL.
+    routes = set()
+
+    @settings(max_examples=150)
+    @given(problems(), st.data())
+    def check(problem, data):
+        obj, rng = problem
+        j = data.draw(st.integers(0, obj.L - 1))
+        rows = _batch(data.draw, obj)
+        x = rng.standard_normal(obj.n)
+        np.testing.assert_array_equal(
+            obj.column_grad(rows, j, x), oracle_solvers.column_grad(obj, rows, j, x)
+        )
+        support = _support(data.draw, obj)
+        b = obj.restricted_column_argmin(support, j)
+        ref = oracle_solvers.restricted_column_argmin(obj, support, j)
+        if _projector_rule(obj, support):
+            routes.add("projector")
+            assert np.linalg.norm(b - ref) <= RTOL * np.linalg.norm(ref)
+        else:
+            routes.add("gram")
+            np.testing.assert_array_equal(b, ref)
+
+    check()
+    assert routes == {"gram", "projector"}
 
 
 @settings(max_examples=150)
