@@ -31,10 +31,10 @@ One c x c Cholesky replaces the m x m one, which pays when c < m <= |S|.
 The guard: I - Q_cc is singular exactly when A_S loses full row rank, and
 cond(A_S A_S^T) <= cond(A A^T) ||(I - Q_cc)^-1||_2.  The projector is
 built only when A A^T passes the Gram guard, and a solve takes it only
-when the product of the two reciprocal estimates, rcond(A A^T) and
-1 / ||(I - Q_cc)^-1||_1 (the norm of I - W_c W_c^T being 1), reaches
-_GRAM_RCOND_MIN: the cap the Gram guard puts on cond(A_S A_S^T).  A
-failed guard sends the solve to least_squares_solve.
+when 1 / (cond(A A^T) ||(I - Q_cc)^-1||_1), estimated by dpocon with the
+norm of I - W_c W_c^T being 1, reaches _GRAM_RCOND_MIN: the cap the Gram
+guard puts on cond(A_S A_S^T).  A failed guard sends the solve to
+least_squares_solve.
 """
 
 from __future__ import annotations
@@ -105,20 +105,20 @@ _GRAM_RCOND_MIN = 1e-5
 _EPS = np.finfo(np.float64).eps
 
 
-def _gram_cholesky(G, rcond_min=_GRAM_RCOND_MIN, anorm=None):
+def _gram_cholesky(G, anorm=None):
     """(C, rcond): the upper Cholesky factor of symmetric G and its rcond.
 
     rcond is dpocon's estimate of 1 / (anorm ||G^-1||_1), with anorm
     ||G||_1 by default.  G is overwritten.  C is None when the
-    factorization fails or rcond is below rcond_min: the one guard of
-    every normal-equation solve.
+    factorization fails or rcond is below _GRAM_RCOND_MIN: the one guard
+    of every normal-equation solve.
     """
     if anorm is None:
         anorm = np.linalg.norm(G, 1)
     C, info = lapack.dpotrf(G, overwrite_a=True, clean=False)
     if info == 0:
         rcond, info = lapack.dpocon(C, anorm)
-        if info == 0 and rcond >= rcond_min:
+        if info == 0 and rcond >= _GRAM_RCOND_MIN:
             return C, rcond
     return None, 0.0
 
@@ -168,11 +168,12 @@ def least_squares_solve(A_sub, Y) -> np.ndarray:
 
 
 def _row_space_projector(A, Y):
-    """(Q, V) = (A^T (A A^T)^-1 A, A^T (A A^T)^-1 Y), or None.
+    """(Q, V, cond) for Q = A^T (A A^T)^-1 A and V = A^T (A A^T)^-1 Y, or None.
 
     With L L^T = A A^T and W = L^-1 A, Q = W^T W (mirrored from one
-    triangle, so exactly symmetric) and V = W^T (L^-1 Y) = pinv(A) Y.  None
-    when A A^T fails the Gram guard.  V comes in C order.
+    triangle, so exactly symmetric) and V = W^T (L^-1 Y) = pinv(A) Y; cond
+    is 1 / rcond(A A^T).  None when A A^T fails the Gram guard.  V comes
+    in C order.
     """
     At = A.T
     C, rcond = _gram_cholesky(blas.dgemm(1.0, At, At, trans_a=1))
@@ -182,11 +183,11 @@ def _row_space_projector(A, Y):
     Q = np.triu(blas.dsyrk(1.0, W, trans=1))
     Q += np.triu(Q, 1).T
     Vt = blas.dgemm(1.0, lapack.dtrtrs(C, Y, trans=1)[0], W, trans_a=1)
-    return Q, Vt.T, _GRAM_RCOND_MIN / rcond
+    return Q, Vt.T, 1.0 / rcond
 
 
-def _complement_solve(Q, V, rcond_min, rest, cols):
-    """Min-norm solve on the rows off rest, from _row_space_projector's Q, V.
+def _complement_solve(Q, V, cond, rest, cols):
+    """Min-norm solve on the rows off rest, from _row_space_projector's output.
 
     Returns the n-row block, zero on rest, of x_S = V_S + Q_Sc (I - Q_cc)^-1
     V_c for the complement c = rest and the columns cols (a slice) of V, or
@@ -198,7 +199,9 @@ def _complement_solve(Q, V, rcond_min, rest, cols):
     G = QR[:, rest]  # symmetric, so its F-order transpose is the same matrix
     np.negative(G, out=G)
     G.flat[:: rest.size + 1] += 1.0
-    C, _ = _gram_cholesky(G.T, rcond_min, anorm=1.0)
+    # measured against cond(A A^T) ||I - W_c W_c^T||, rcond bounds
+    # 1 / cond(A_S A_S^T) as the Gram guard does
+    C, _ = _gram_cholesky(G.T, anorm=cond)
     if C is None:
         return None
     w = lapack.dpotrs(C, V[rest, cols])[0]

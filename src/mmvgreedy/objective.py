@@ -134,8 +134,8 @@ class MmvObjective:
 
     @cached_property
     def _projector(self):
-        # (Q, V) of the row space of A, built on the first wide solve that
-        # takes it; None when A A^T fails the Gram guard
+        # _row_space_projector's (Q, V, cond), built on the first wide solve
+        # that takes it; None when A A^T fails the Gram guard
         return _row_space_projector(self.A, self.Y)
 
     def _argmin(self, support, cols) -> np.ndarray:

@@ -157,7 +157,7 @@ def _gradmp_candidate(obj, X, kept, i, k):
     return seen[0], step
 
 
-@settings(max_examples=400)
+@settings(max_examples=200)
 @given(single_row_steps())
 def test_single_row_matching_equals_the_dense_matching(step):
     obj, X, kept, i, _, k = step

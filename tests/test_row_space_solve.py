@@ -16,7 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mmvgreedy.objective
-from mmvgreedy.bench import ExperimentSpec, gaussian_sensing_matrix, run_experiment, run_sweep
+from mmvgreedy.bench import (
+    ExperimentSpec, gaussian_sensing_matrix, run_experiment, run_sweep,
+)
 from mmvgreedy.linalg import RngStream, least_squares_solve
 from mmvgreedy.objective import MmvObjective
 from test_solver_oracle import RTOL
@@ -44,24 +46,19 @@ def wide_solves(draw, repeated=False):
     return MmvObjective(A, rng.standard_normal((m, L))), rows
 
 
-class _Spy:
-    """Counts least_squares_solve calls while patched into the objective."""
+def _solve(obj, rows):
+    # both argmins on rows, and how many solves fell back to least_squares_solve
+    calls = []
 
-    def __init__(self):
-        self.calls = 0
-
-    def __call__(self, A_sub, Y):
-        self.calls += 1
+    def spy(A_sub, Y):
+        calls.append(Y.shape)
         return least_squares_solve(A_sub, Y)
 
-
-def _solve(obj, rows):
-    spy = _Spy()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(mmvgreedy.objective, "least_squares_solve", spy)
         B = obj.restricted_argmin(rows)
         columns = [obj.restricted_column_argmin(rows, j) for j in range(obj.L)]
-    return B, columns, spy.calls
+    return B, columns, len(calls)
 
 
 def _pinv_gap(obj, rows, B):
@@ -108,12 +105,15 @@ def test_acceptance_shape_solves_take_the_projector():
     obj = MmvObjective(gaussian_sensing_matrix(100, 200, rng), rng.standard_normal((100, 3)))
     for size in (120, 144, 180, 200):
         rows = np.sort(rng.choice_without_replacement(200, size))
-        B, columns, calls = _solve(obj, rows)
+        B, _, calls = _solve(obj, rows)
         assert calls == 0
         assert _pinv_gap(obj, rows, B) <= 1e-11
 
 
-def _count_builds(monkeypatch):
+_ACCEPTANCE = dict(n=200, m=100, L=40, batch_size=1, gamma=1.0, seed=20260810)
+
+
+def test_only_wide_solves_build_the_projector(monkeypatch, tmp_path):
     builds = []
     real = mmvgreedy.objective._row_space_projector
 
@@ -122,14 +122,6 @@ def _count_builds(monkeypatch):
         return real(A, Y)
 
     monkeypatch.setattr(mmvgreedy.objective, "_row_space_projector", build)
-    return builds
-
-
-_ACCEPTANCE = dict(n=200, m=100, L=40, batch_size=1, gamma=1.0, seed=20260810)
-
-
-def test_only_wide_solves_build_the_projector(monkeypatch, tmp_path):
-    builds = _count_builds(monkeypatch)
     # criterion 02's mstoiht and criterion 05's k=20 sweep: tall solves only
     run_experiment(ExperimentSpec(**_ACCEPTANCE, k=5, algo="mstoiht", max_iter=50,
                                   tol=1e-6, trials=2))
