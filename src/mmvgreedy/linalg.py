@@ -87,8 +87,6 @@ def frobenius_norm(X) -> float:
 def row_norms(X) -> np.ndarray:
     """Euclidean norm of each row, as a 1-D array of length rows."""
     X = as_matrix(X)
-    if X.shape[1] == 1:  # the norm of a one-entry row is its absolute value
-        return np.abs(X[:, 0])
     # the operations np.linalg.norm(X, axis=1) runs, without its overhead
     return np.sqrt(np.add.reduce(X * X, axis=1))
 

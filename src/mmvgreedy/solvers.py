@@ -30,14 +30,14 @@ bits; at batch size 1 the column gradients are one stacked expression.
 
 rows names the part of X that the step changed (the one-row IHT step's
 rows, or the columns cols), old and new its values, and the engine writes
-just that part: into the iterate, and into n x L buffers holding X - X_old
-and X - ground_truth.  Every norm of the trace, and each column's own
-change, is then the same reduction over the same values as the norm of a
-freshly formed difference, so the bits do not move.  A dense joint step
-(larger batches, GradMP) returns rows None and its whole new iterate; its
-differences are formed afresh, cheaper than fancy-indexed writes of 2k
-rows.  Each stream draws its batches in bulk, with the bits of one draw
-at a time.
+just that part after the timer: into the iterate, and into n x L buffers
+holding X - X_old and X - ground_truth.  Every norm of the trace, and
+each column's own change, is then the same reduction over the same
+values as the norm of a freshly formed difference, so the bits do not
+move.  A dense joint step (larger batches, GradMP) returns rows None and
+its whole new iterate; its differences are formed afresh, cheaper than
+fancy-indexed writes of 2k rows.  Each stream draws its batches in bulk,
+with the bits of one draw at a time.
 
 All solvers start from the zero matrix and stop when the relative iterate
 change (every column's, for the concatenated solvers) drops below the
@@ -320,9 +320,9 @@ def _draws(sampler, rng, count):
 def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     """Run algo's step on obj, or on all of its single-column problems.
 
-    Only the draws and the steps are timed.  A joint record carries the
-    step's support; a concatenated one the row support of the combined
-    iterate, which may exceed k while the columns disagree.
+    Only the draws and the steps are timed; X is written after.  A joint
+    record carries the step's support; a concatenated one the row support
+    of the combined iterate, which may exceed k while the columns disagree.
     """
     cfg.check_problem(algo, obj.n, obj.component_count, obj.L)
     step, columns, _ = _STEPS[algo]
@@ -347,8 +347,6 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
         i = [next(streams[j]) for j in active.tolist()] if columns else next(streams[0])
         batch = [bounds[d] for d in i] if columns else bounds[i]
         rows, old, new, kept, size = step(obj, X, kept, active, batch, scales[i], cfg.k)
-        if rows is not None:
-            X[rows] = new
         elapsed += time.perf_counter() - tic
         if rows is None:  # new is the whole new iterate
             diff, X, written = new - X, new, slice(None)
@@ -357,7 +355,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
         else:
             step_diff = new - old
             diff[written] = 0.0
-            diff[rows], written = step_diff, rows
+            X[rows], diff[rows], written = new, step_diff, rows
             if gt is not None:  # take gathers faster, but not by a column tuple
                 err[rows] = new - (gt[rows] if columns else gt.take(rows, 0))
         support = np.flatnonzero(X.any(axis=1)) if columns else kept
@@ -367,8 +365,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
             old_norm, diff_norm = _stacked_norms(old.T), _stacked_norms(step_diff.T)
             with np.errstate(divide="ignore", invalid="ignore"):  # as _rel_change
                 stopped = np.where(diff_norm == 0, 0.0, diff_norm / old_norm) < cfg.tol
-            if stopped.any():
-                active = active[~stopped]
+            active = active[~stopped]
         done = not active.size if columns else change < cfg.tol
 
         fval = obj.restricted_value(X, support)
