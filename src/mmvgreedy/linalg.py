@@ -143,6 +143,8 @@ def least_squares_solve(A_sub, Y) -> np.ndarray:
         raise ValueError(
             f"row mismatch: A_sub has {m} rows but Y has {Y.shape[0]}"
         )
+    if not Y.shape[1]:  # no right-hand sides: LAPACK rejects the empty block
+        return np.zeros((s, 0))
     wide = s >= m
     # Products go through scipy's BLAS, the library its LAPACK calls use.
     # numpy and scipy wheels each bundle an OpenBLAS with its own thread
@@ -178,8 +180,12 @@ def _row_space_projector(A, Y):
     if C is None:
         return None
     W = lapack.dtrtrs(C, A, trans=1)[0]  # C is L^T
-    Q = np.triu(blas.dsyrk(1.0, W, trans=1))
-    Q += np.triu(Q, 1).T
+    # dsyrk fills the upper triangle of an F-order array: Q is its C-order
+    # transpose, mirrored row by row from its lower triangle, so no n x n
+    # temporary is made
+    Q = blas.dsyrk(1.0, W, trans=1).T
+    for i in range(len(Q) - 1):
+        Q[i, i + 1 :] = Q[i + 1 :, i]
     Vt = blas.dgemm(1.0, lapack.dtrtrs(C, Y, trans=1)[0], W, trans_a=1)
     return Q, Vt.T, 1.0 / rcond
 

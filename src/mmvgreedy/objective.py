@@ -34,7 +34,7 @@ from .linalg import (
     _complement_solve, _row_space_projector, as_matrix, least_squares_solve,
     require_finite,
 )
-from .sparsity import RowSupport
+from .sparsity import RowSupport, _checked_rows
 
 __all__ = ["MmvObjective", "BatchPlan", "batch_partition"]
 
@@ -70,6 +70,9 @@ class MmvObjective:
         (self.m, self.n), self.L = self.A.shape, self.Y.shape[1]
         if self.Y.shape[0] != self.m:
             raise ValueError(f"A has {self.m} rows but Y has {self.Y.shape[0]}")
+        if not self.m * self.n * self.L:
+            raise ValueError(f"A ({self.m}x{self.n}) and Y ({self.m}x{self.L}) "
+                             "must be nonempty")
         self.component_count = self.m  # one component per sensing row
 
     def _check_iterate(self, X) -> np.ndarray:
@@ -122,7 +125,7 @@ class MmvObjective:
         return self._grad(rows, x[:, None], self.Y[:, j : j + 1]).ravel()
 
     def _support_rows(self, support) -> np.ndarray:
-        # a RowSupport, or the sorted array of one's rows; the argmins'
+        # a RowSupport, or an index array that obeys its rule; the argmins'
         # least_squares_solve rejects an empty one
         if isinstance(support, RowSupport):
             if support.ambient != self.n:
@@ -130,7 +133,7 @@ class MmvObjective:
                     f"support ambient {support.ambient} != signal length {self.n}"
                 )
             return support.as_array()
-        return support
+        return _checked_rows(support, self.n)
 
     @cached_property
     def _projector(self):
@@ -175,7 +178,7 @@ class MmvObjective:
     def restricted_value(self, X, support) -> float:
         """F(X) for an X known to be supported on the given rows (cheaper).
 
-        support is a RowSupport or the sorted array of one's rows.
+        support is a RowSupport or an index array that obeys its rule.
         """
         X = self._check_iterate(X)
         idx = self._support_rows(support)

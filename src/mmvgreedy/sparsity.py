@@ -31,17 +31,11 @@ class RowSupport:
     """
 
     def __init__(self, indices, ambient: int):
-        arr = np.array(indices, dtype=np.intp)
-        arr.setflags(write=False)
-        self._array, self.ambient = arr, int(ambient)
+        self.ambient = int(ambient)
         if self.ambient < 0:
             raise ValueError("ambient must be nonnegative")
-        if np.count_nonzero(arr[1:] <= arr[:-1]):
-            raise ValueError("indices must be strictly increasing")
-        if arr.size and (arr[0] < 0 or arr[-1] >= self.ambient):
-            raise ValueError(
-                f"indices must lie in [0, {self.ambient}), got {arr[0]}..{arr[-1]}"
-            )
+        self._array = _checked_rows(np.array(indices), self.ambient)
+        self._array.setflags(write=False)
 
     @classmethod
     def empty(cls, ambient: int) -> "RowSupport":
@@ -63,6 +57,27 @@ class RowSupport:
 
     def as_array(self) -> np.ndarray:
         return self._array
+
+
+def _checked_rows(indices, ambient: int) -> np.ndarray:
+    """indices as an intp array, checked by RowSupport's rule.
+
+    ValueError unless indices is an empty sequence or a 1-D array of an
+    integer dtype (not bool), strictly increasing inside [0, ambient).
+    An intp array is returned as it is, not copied.
+    """
+    arr = np.asarray(indices)
+    if arr.dtype != np.intp:
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"indices must be integers, got dtype {arr.dtype}")
+        arr = arr.astype(np.intp)
+    if arr.ndim != 1:
+        raise ValueError(f"indices must be 1-D, got ndim={arr.ndim}")
+    if np.count_nonzero(arr[1:] <= arr[:-1]):
+        raise ValueError("indices must be strictly increasing")
+    if arr.size and (arr[0] < 0 or arr[-1] >= ambient):
+        raise ValueError(f"indices must lie in [0, {ambient}), got {arr[0]}..{arr[-1]}")
+    return arr
 
 
 def top_k_indices(w, k: int) -> RowSupport:

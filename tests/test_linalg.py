@@ -45,6 +45,14 @@ def test_row_norms_examples():
     np.testing.assert_allclose(row_norms(X), np.full(6, np.sqrt(3.0)))
 
 
+@settings(max_examples=200)
+@given(st.floats(1e-150, 1e150), st.booleans())
+def test_one_column_row_norms_are_absolute_values(x, negative):
+    # sqrt(x * x) is |x| exactly while x * x neither underflows nor overflows
+    x = -x if negative else x
+    assert row_norms(np.array([[x], [0.0], [-0.0]])).tolist() == [abs(x), 0.0, 0.0]
+
+
 def test_lstsq_identity_system():
     Y = np.array([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_allclose(least_squares_solve(np.eye(2), Y), Y)
@@ -186,6 +194,15 @@ def test_lstsq_dimension_mismatch():
         least_squares_solve(np.eye(3), np.zeros((2, 1)))
     with pytest.raises(ValueError):
         least_squares_solve(np.zeros((3, 0)), np.zeros((3, 1)))
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+def test_lstsq_without_right_hand_sides(shape):
+    # the empty (s, 0) solution, as numpy.linalg.lstsq gives it, before LAPACK
+    m, s = shape
+    B = least_squares_solve(np.ones(shape), np.ones((m, 0)))
+    assert B.shape == (s, 0)
+    assert B.shape == np.linalg.lstsq(np.ones(shape), np.ones((m, 0)))[0].shape
 
 
 def test_draw_index_point_mass():

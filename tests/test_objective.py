@@ -237,6 +237,27 @@ def test_restricted_value_takes_the_same_support_rule():
         obj.restricted_value(X, RowSupport((0,), obj.n + 1))
 
 
+# each breaks RowSupport's rule on n = 12 rows: duplicate, unsorted,
+# negative (which would wrap to row n - 1) and too large
+_BAD_SUPPORTS = ([2, 2], [5, 3], [-1], [4, 12])
+
+
+@pytest.mark.parametrize("bad", _BAD_SUPPORTS)
+def test_index_array_supports_take_the_row_support_rule(bad):
+    obj, rng = random_objective(18)
+    X = np.zeros((obj.n, obj.L))
+    for form in (bad, np.array(bad)):
+        with pytest.raises(ValueError, match="indices must"):
+            obj.restricted_argmin(form)
+        with pytest.raises(ValueError, match="indices must"):
+            obj.restricted_column_argmin(form, 0)
+        with pytest.raises(ValueError, match="indices must"):
+            obj.restricted_value(X, form)
+    for bad in (np.array([0.0, 2.0]), np.array([True, False])):
+        with pytest.raises(ValueError, match="integers"):
+            obj.restricted_argmin(bad)
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("name", ["A", "Y"])
 def test_non_finite_data_rejected_before_any_solve(name, bad):
@@ -287,3 +308,11 @@ def test_objective_shape_validation():
     obj = MmvObjective(np.ones((3, 2)), np.ones((3, 2)))
     with pytest.raises(ValueError):
         obj.value(np.ones((3, 2)))
+
+
+@pytest.mark.parametrize("A_shape, Y_shape", [((0, 3), (0, 2)), ((3, 0), (3, 2)),
+                                              ((3, 3), (3, 0))])
+def test_empty_problems_rejected(A_shape, Y_shape):
+    # no rows would divide F by m = 0; no columns leave nothing to recover
+    with pytest.raises(ValueError, match="nonempty"):
+        MmvObjective(np.zeros(A_shape), np.zeros(Y_shape))

@@ -19,7 +19,7 @@ import mmvgreedy.objective
 from mmvgreedy.bench import (
     ExperimentSpec, gaussian_sensing_matrix, run_experiment, run_sweep,
 )
-from mmvgreedy.linalg import RngStream, least_squares_solve
+from mmvgreedy.linalg import RngStream, _row_space_projector, least_squares_solve
 from mmvgreedy.objective import MmvObjective
 from test_solver_oracle import RTOL
 
@@ -108,6 +108,16 @@ def test_acceptance_shape_solves_take_the_projector():
         B, _, calls = _solve(obj, rows)
         assert calls == 0
         assert _pinv_gap(obj, rows, B) <= 1e-11
+
+
+def test_projector_is_exactly_symmetric():
+    # Q is mirrored from one triangle: it equals its transpose bit for bit
+    rng = RngStream(9, (0,))
+    for m, n in ((100, 200), (1, 1), (3, 7)):
+        Q, V, _ = _row_space_projector(rng.standard_normal((m, n)),
+                                       rng.standard_normal((m, 2)))
+        assert Q.flags.c_contiguous and V.flags.c_contiguous
+        np.testing.assert_array_equal(Q, Q.T)
 
 
 _ACCEPTANCE = dict(n=200, m=100, L=40, batch_size=1, gamma=1.0, seed=20260810)

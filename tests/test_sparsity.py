@@ -158,3 +158,9 @@ def test_row_support_validation():
         RowSupport((3,), 3)
     with pytest.raises(ValueError, match="ambient"):
         RowSupport((), -1)
+    # floats and bools are not row indices, even where they would cast to some
+    with pytest.raises(ValueError, match="integers"):
+        RowSupport([0.5, 1.7], 3)
+    with pytest.raises(ValueError, match="integers"):
+        RowSupport([True, False, True], 3)
+    assert len(RowSupport([], 3)) == 0
