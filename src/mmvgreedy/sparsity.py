@@ -85,15 +85,14 @@ def top_k_indices(w, k: int) -> RowSupport:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("w must be a 1-D vector")
-    return top_k_rows(w[:, None], k)
+    if k < 0 or k > w.size:
+        raise ValueError(f"k={k} out of range [0, {w.size}]")
+    return RowSupport(np.flatnonzero(_top_k_mask(w[None], k)[0]), w.size)
 
 
 def top_k_rows(X, k: int) -> RowSupport:
     """Indices of the k rows of X with largest Euclidean norm."""
-    norms = row_norms(X)
-    if k < 0 or k > norms.size:
-        raise ValueError(f"k={k} out of range [0, {norms.size}]")
-    return RowSupport(np.flatnonzero(_top_k_mask(norms[None], k)[0]), norms.size)
+    return top_k_indices(row_norms(X), k)
 
 
 def _top_k_mask(B, k):

@@ -31,6 +31,9 @@ def test_top_k_indices_examples():
     assert top_k_indices(np.array([0.1, -5.0, 2.0]), 3).as_array().tolist() == [0, 1, 2]
     # tie broken toward the smaller index
     assert top_k_indices(np.array([2.0, 2.0, 1.0]), 1).as_array().tolist() == [0]
+    # magnitudes whose squares overflow or underflow still rank by |w|
+    assert top_k_indices(np.array([1e200, -2e200]), 1).as_array().tolist() == [1]
+    assert top_k_indices(np.array([1e-170, -3e-170]), 1).as_array().tolist() == [1]
 
 
 def test_top_k_indices_range_errors():
