@@ -73,10 +73,9 @@ def _checked_rows(indices, ambient: int) -> np.ndarray:
         arr = arr.astype(np.intp)
     if arr.ndim != 1:
         raise ValueError(f"indices must be 1-D, got ndim={arr.ndim}")
-    if np.count_nonzero(arr[1:] <= arr[:-1]):
-        raise ValueError("indices must be strictly increasing")
-    if arr.size and (arr[0] < 0 or arr[-1] >= ambient):
-        raise ValueError(f"indices must lie in [0, {ambient}), got {arr[0]}..{arr[-1]}")
+    if arr.size and (arr[0] < 0 or arr[-1] >= ambient
+                     or np.count_nonzero(arr[1:] <= arr[:-1])):
+        raise ValueError(f"indices must be strictly increasing inside [0, {ambient})")
     return arr
 
 
