@@ -238,8 +238,8 @@ def test_restricted_value_takes_the_same_support_rule():
 
 
 # each breaks RowSupport's rule on n = 12 rows: duplicate, unsorted,
-# negative (which would wrap to row n - 1) and too large
-_BAD_SUPPORTS = ([2, 2], [5, 3], [-1], [4, 12])
+# negative (which would wrap to row n - 1), too large, float and bool
+_BAD_SUPPORTS = ([2, 2], [5, 3], [-1], [4, 12], [0.0, 2.0], [True, False])
 
 
 @pytest.mark.parametrize("bad", _BAD_SUPPORTS)
@@ -253,9 +253,6 @@ def test_index_array_supports_take_the_row_support_rule(bad):
             obj.restricted_column_argmin(form, 0)
         with pytest.raises(ValueError, match="indices must"):
             obj.restricted_value(X, form)
-    for bad in (np.array([0.0, 2.0]), np.array([True, False])):
-        with pytest.raises(ValueError, match="integers"):
-            obj.restricted_argmin(bad)
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
