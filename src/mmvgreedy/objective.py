@@ -25,7 +25,6 @@ A_S A_S^T or A_S^T A_S.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -36,29 +35,7 @@ from .linalg import (
 )
 from .sparsity import RowSupport, _checked_rows
 
-__all__ = ["MmvObjective", "BatchPlan", "batch_partition"]
-
-
-@dataclass(frozen=True)
-class BatchPlan:
-    """A partition of component indices {0..M-1} into consecutive batches.
-
-    Every batch has the same size except possibly the last one.
-    """
-
-    batches: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.batches)
-
-
-def batch_partition(M: int, b: int) -> BatchPlan:
-    """Split {0..M-1} into ceil(M/b) contiguous batches (the last may be short)."""
-    if not 1 <= b <= M:
-        raise ValueError(f"batch size {b} out of range [1, {M}]")
-    batches = tuple(tuple(range(i, min(i + b, M))) for i in range(0, M, b))
-    return BatchPlan(batches)
+__all__ = ["MmvObjective"]
 
 
 class MmvObjective:

@@ -58,7 +58,7 @@ from .linalg import (
     IndexSampler, RngStream, as_matrix, frobenius_norm, require_finite, require_int,
     row_norms,
 )
-from .objective import MmvObjective, batch_partition
+from .objective import MmvObjective
 # the benchmark's layer spans look these names up here
 from .linalg import draw_index  # noqa: F401
 from .sparsity import _top_k_mask
@@ -101,10 +101,11 @@ class DivergenceError(RuntimeError):
 class SolverConfig:
     """Parameters shared by all solvers, and the rules they must meet.
 
-    probabilities is either "uniform" or an explicit distribution over the
-    batches produced by the batch partition (it must sum to 1).  The
-    ground truth, when given, must be a finite, nonzero n x L matrix and is
-    only used to record per-iteration relative errors in the trace.
+    probabilities is either "uniform" or an explicit distribution, summing
+    to 1, over the ceil(m / batch_size) batches: contiguous row slices of
+    batch_size rows, the last possibly short.  The ground truth, when
+    given, must be a finite, nonzero n x L matrix and is only used to
+    record per-iteration relative errors in the trace.
     """
 
     k: int
@@ -327,11 +328,11 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     cfg.check_problem(algo, obj.n, obj.component_count, obj.L)
     step, columns, _ = _STEPS[algo]
     kept = np.zeros((obj.L, obj.n), bool) if columns else np.empty(0, np.intp)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
-    bounds = [slice(b[0], b[-1] + 1) for b in plan.batches]  # each is contiguous
-    sampler = IndexSampler(cfg.batch_probabilities(plan.count))
+    M, b = obj.component_count, cfg.batch_size  # 1 <= b <= M, checked above
+    bounds = [slice(i, min(i + b, M)) for i in range(0, M, b)]  # the last may be short
+    sampler = IndexSampler(cfg.batch_probabilities(len(bounds)))
     with np.errstate(divide="ignore"):  # a batch of probability 0 is never drawn
-        scales = cfg.gamma / (plan.count * sampler.p)
+        scales = cfg.gamma / (len(bounds) * sampler.p)
     streams = [_draws(sampler, RngStream(cfg.seed, (j,)), cfg.max_iter)
                for j in range(obj.L if columns else 1)]
     X = np.zeros((obj.n, obj.L))

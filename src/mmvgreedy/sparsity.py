@@ -37,10 +37,6 @@ class RowSupport:
         self._array = _checked_rows(np.array(indices), self.ambient)
         self._array.setflags(write=False)
 
-    @classmethod
-    def empty(cls, ambient: int) -> "RowSupport":
-        return cls((), ambient)
-
     def __len__(self):
         return self._array.size
 
@@ -48,9 +44,6 @@ class RowSupport:
         return isinstance(other, RowSupport) and self.ambient == other.ambient and (
             np.array_equal(self._array, other._array)
         )
-
-    def __hash__(self):
-        return hash((self._array.tobytes(), self.ambient))
 
     def __repr__(self):
         return f"RowSupport(indices={self._array.tolist()}, ambient={self.ambient})"

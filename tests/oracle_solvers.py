@@ -5,7 +5,9 @@ one iteration engine: two joint loops and two per-column loops, with the
 helpers they used.  The per-column kernels the loops called
 (`MmvObjective.column_grad`, `MmvObjective.restricted_column_argmin` and
 `sparsity.top_k_indices`) are copied here as functions, so the reference
-keeps working if the package drops them.  The row selection
+keeps working if the package drops them; so are the batch partition
+(`objective.batch_partition`, which the engine replaced with row slices)
+and the empty support (`RowSupport.empty`).  The row selection
 (`sparsity.top_k_rows`) is copied too, as the stable sort it was, so the
 engine's tie rule is checked against an independent one.  The kernels
 shared with the engine (`batch_grad`, `restricted_argmin`, `project_rows`,
@@ -18,11 +20,12 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from mmvgreedy.linalg import RngStream, draw_index, least_squares_solve, row_norms
-from mmvgreedy.objective import MmvObjective, batch_partition
+from mmvgreedy.objective import MmvObjective
 from mmvgreedy.solvers import (
     DivergenceError,
     IterationRecord,
@@ -37,11 +40,37 @@ from mmvgreedy.sparsity import (
 )
 
 
+@dataclass(frozen=True)
+class BatchPlan:
+    """A partition of component indices {0..M-1} into consecutive batches.
+
+    Every batch has the same size except possibly the last one.
+    """
+
+    batches: tuple
+
+    @property
+    def count(self) -> int:
+        return len(self.batches)
+
+
+def batch_partition(M: int, b: int) -> BatchPlan:
+    """Split {0..M-1} into ceil(M/b) contiguous batches (the last may be short)."""
+    if not 1 <= b <= M:
+        raise ValueError(f"batch size {b} out of range [1, {M}]")
+    batches = tuple(tuple(range(i, min(i + b, M))) for i in range(0, M, b))
+    return BatchPlan(batches)
+
+
+def empty_support(ambient: int) -> RowSupport:
+    return RowSupport((), ambient)
+
+
 def _top_k(scores: np.ndarray, k: int, ambient: int) -> RowSupport:
     if k < 0 or k > ambient:
         raise ValueError(f"k={k} out of range [0, {ambient}]")
     if k == 0:
-        return RowSupport.empty(ambient)
+        return empty_support(ambient)
     # stable sort on the negated scores keeps the smaller index on ties
     order = np.argsort(-scores, kind="stable")
     return RowSupport(np.sort(order[:k]), ambient)
@@ -235,7 +264,7 @@ def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     tracer = _TraceBuilder(obj, cfg)
 
     X = np.zeros((obj.n, obj.L))
-    kept = RowSupport.empty(obj.n)
+    kept = empty_support(obj.n)
     prev_norm = 0.0
     trace = SolveTrace()
     for t in range(1, cfg.max_iter + 1):
@@ -329,7 +358,7 @@ def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     tracer = _TraceBuilder(obj, cfg)
 
     X = np.zeros((obj.n, obj.L))
-    kept = [RowSupport.empty(obj.n) for _ in range(obj.L)]
+    kept = [empty_support(obj.n) for _ in range(obj.L)]
     active = [True] * obj.L
     X_prev = X.copy()
     trace = SolveTrace()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmvgreedy.linalg import RngStream
-from mmvgreedy.objective import MmvObjective, batch_partition
+from mmvgreedy.objective import MmvObjective
 from mmvgreedy.sparsity import RowSupport, project_rows, row_support, top_k_rows
 
 
@@ -272,29 +272,6 @@ def test_restricted_value_matches_full_value():
         sup = top_k_rows(X, k)
         Xs = project_rows(X, sup)
         assert obj.restricted_value(Xs, sup) == pytest.approx(obj.value(Xs), rel=1e-12)
-
-
-def test_batch_partition_examples():
-    assert batch_partition(4, 1).batches == ((0,), (1,), (2,), (3,))
-    assert batch_partition(4, 4).batches == ((0, 1, 2, 3),)
-    assert batch_partition(5, 2).batches == ((0, 1), (2, 3), (4,))
-
-
-def test_batch_partition_range_errors():
-    with pytest.raises(ValueError):
-        batch_partition(4, 0)
-    with pytest.raises(ValueError):
-        batch_partition(4, 5)
-
-
-def test_batch_partition_covers_disjointly():
-    for M, b in [(10, 3), (12, 4), (7, 7), (9, 2)]:
-        plan = batch_partition(M, b)
-        flat = [i for batch in plan.batches for i in batch]
-        assert sorted(flat) == list(range(M))
-        assert len(flat) == len(set(flat))
-        assert all(len(batch) == b for batch in plan.batches[:-1])
-        assert plan.count == -(-M // b)
 
 
 def test_objective_shape_validation():

@@ -4,10 +4,10 @@ import mmvgreedy
 
 # the package's public names, each listed once in its module's __all__
 PUBLIC_NAMES = [
-    "BatchPlan", "ConvexityConstants", "DivergenceError", "ExperimentSpec",
+    "ConvexityConstants", "DivergenceError", "ExperimentSpec",
     "IterationRecord", "MmvObjective", "RegimeError", "RestrictedPropertyReport",
     "RipEstimate", "RngStream", "RowSupport", "SOLVERS", "SolveTrace",
-    "SolverConfig", "TraceTable", "add_noise", "batch_partition",
+    "SolverConfig", "TraceTable", "add_noise",
     "contraction_cstogradmp", "contraction_cstoiht", "contraction_mstogradmp",
     "contraction_mstoiht", "cstogradmp", "cstoiht", "draw_index",
     "frobenius_norm", "gaussian_sensing_matrix", "generate_instance",

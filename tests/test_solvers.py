@@ -279,6 +279,13 @@ def test_explicit_batch_probabilities():
     with pytest.raises(ValueError):
         mstoiht(obj, SolverConfig(k=3, batch_size=5, probabilities=np.ones(3),
                                   max_iter=5, seed=0))
+    # b = 6 does not divide m = 20: four batches, the last of two rows
+    q = np.full(4, 0.25)
+    assert mstoiht(obj, SolverConfig(k=3, batch_size=6, probabilities=q, max_iter=10,
+                                     tol=0.0, seed=26)).iterations == 10
+    with pytest.raises(ValueError, match="length 4"):
+        mstoiht(obj, SolverConfig(k=3, batch_size=6, probabilities=np.full(3, 1 / 3),
+                                  max_iter=5, seed=0))
     # a NaN entry passes neither the sign nor the sum test by itself
     with pytest.raises(ValueError, match="non-finite"):
         mstoiht(obj, SolverConfig(k=3, batch_size=10, probabilities=[math.nan, 1.0]))
@@ -300,6 +307,8 @@ def test_config_validation():
         mstoiht(obj, SolverConfig(k=21))  # k > n
     with pytest.raises(ValueError):
         mstogradmp(obj, SolverConfig(k=11))  # 2k > n
+    with pytest.raises(ValueError):
+        SolverConfig(k=1, batch_size=0)
     with pytest.raises(ValueError):
         mstoiht(obj, SolverConfig(k=2, batch_size=11))  # batch > components
     with pytest.raises(ValueError, match="unknown probabilities"):

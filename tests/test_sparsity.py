@@ -72,8 +72,8 @@ def test_top_k_rows_matches_exhaustive_search():
 
 def test_top_k_zero_allowed():
     assert len(top_k_rows(np.ones((4, 2)), 0)) == 0
-    assert top_k_rows(np.ones((4, 2)), 0) == RowSupport.empty(4)
-    assert top_k_rows(np.ones((0, 2)), 0) == RowSupport.empty(0)
+    assert top_k_rows(np.ones((4, 2)), 0) == RowSupport((), 4)
+    assert top_k_rows(np.ones((0, 2)), 0) == RowSupport((), 0)
 
 
 def test_project_rows_examples():
@@ -126,7 +126,7 @@ def test_support_union():
     with pytest.raises(ValueError):
         support_union(a, RowSupport((0,), 5))
     same = RowSupport(np.array([0, 2]), 4)
-    assert same == a and hash(same) == hash(a)
+    assert same == a
 
 
 def test_row_support_examples():
