@@ -85,7 +85,15 @@ def frobenius_norm(X) -> float:
 
 
 def row_norms(X) -> np.ndarray:
-    """Euclidean norm of each row, as a 1-D array of length rows."""
+    """Euclidean norm of each row, as a 1-D array of length rows.
+
+    Unscaled, for speed: a row's norm is correct to rounding while its
+    largest magnitude lies in [1e-150, 1e150] and it has fewer than 1e8
+    entries.  Outside that range a square may overflow (inf from about
+    1.3e154) or underflow (digits lost below about 1.5e-154, and 0 for a
+    row below about 1.5e-162).  top_k_rows and the solvers rank by these
+    norms, so they misorder such rows.
+    """
     X = as_matrix(X)
     # the operations np.linalg.norm(X, axis=1) runs, without its overhead
     return np.sqrt(np.add.reduce(X * X, axis=1))

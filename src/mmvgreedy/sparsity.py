@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import as_matrix, row_norms
+from .linalg import as_matrix, require_int, row_norms
 
 __all__ = [
     "RowSupport",
@@ -31,7 +31,7 @@ class RowSupport:
     """
 
     def __init__(self, indices, ambient: int):
-        self.ambient = int(ambient)
+        self.ambient = int(require_int(ambient, "ambient"))
         if self.ambient < 0:
             raise ValueError("ambient must be nonnegative")
         self._array = _checked_rows(np.array(indices), self.ambient)
@@ -77,7 +77,7 @@ def top_k_indices(w, k: int) -> RowSupport:
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 1:
         raise ValueError("w must be a 1-D vector")
-    if k < 0 or k > w.size:
+    if require_int(k, "k") < 0 or k > w.size:
         raise ValueError(f"k={k} out of range [0, {w.size}]")
     return RowSupport(np.flatnonzero(_top_k_mask(w[None], k)[0]), w.size)
 

@@ -5,9 +5,10 @@ one iteration engine: two joint loops and two per-column loops, with the
 helpers they used.  The per-column kernels the loops called
 (`MmvObjective.column_grad`, `MmvObjective.restricted_column_argmin` and
 `sparsity.top_k_indices`) are copied here as functions, so the reference
-keeps working if the package drops them; so are the batch partition
-(`objective.batch_partition`, which the engine replaced with row slices)
-and the empty support (`RowSupport.empty`).  The row selection
+keeps working if the package drops them.  So is the batch partition
+(`objective.batch_partition`, whose tuples the engine replaced with row
+slices), and the empty support is `RowSupport((), n)`, as the dropped
+`RowSupport.empty` built it.  The row selection
 (`sparsity.top_k_rows`) is copied too, as the stable sort it was, so the
 engine's tie rule is checked against an independent one.  The kernels
 shared with the engine (`batch_grad`, `restricted_argmin`, `project_rows`,
@@ -62,15 +63,11 @@ def batch_partition(M: int, b: int) -> BatchPlan:
     return BatchPlan(batches)
 
 
-def empty_support(ambient: int) -> RowSupport:
-    return RowSupport((), ambient)
-
-
 def _top_k(scores: np.ndarray, k: int, ambient: int) -> RowSupport:
     if k < 0 or k > ambient:
         raise ValueError(f"k={k} out of range [0, {ambient}]")
     if k == 0:
-        return empty_support(ambient)
+        return RowSupport((), ambient)
     # stable sort on the negated scores keeps the smaller index on ties
     order = np.argsort(-scores, kind="stable")
     return RowSupport(np.sort(order[:k]), ambient)
@@ -264,7 +261,7 @@ def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     tracer = _TraceBuilder(obj, cfg)
 
     X = np.zeros((obj.n, obj.L))
-    kept = empty_support(obj.n)
+    kept = RowSupport((), obj.n)
     prev_norm = 0.0
     trace = SolveTrace()
     for t in range(1, cfg.max_iter + 1):
@@ -358,7 +355,7 @@ def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     tracer = _TraceBuilder(obj, cfg)
 
     X = np.zeros((obj.n, obj.L))
-    kept = [empty_support(obj.n) for _ in range(obj.L)]
+    kept = [RowSupport((), obj.n) for _ in range(obj.L)]
     active = [True] * obj.L
     X_prev = X.copy()
     trace = SolveTrace()

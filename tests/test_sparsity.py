@@ -41,6 +41,11 @@ def test_top_k_indices_range_errors():
         top_k_indices(np.arange(3.0), 4)
     with pytest.raises(ValueError):
         top_k_indices(np.arange(3.0), -1)
+    # a count must be an integer (numpy's too), not a float or a bool
+    for k in (2.0, True):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            top_k_indices(np.array([3.0, 1.0, 2.0]), k)
+    assert top_k_indices(np.array([3.0, 1.0, 2.0]), np.int64(2)).as_array().tolist() == [0, 2]
 
 
 def test_top_k_rows_example():
@@ -161,6 +166,10 @@ def test_row_support_validation():
         RowSupport((3,), 3)
     with pytest.raises(ValueError, match="ambient"):
         RowSupport((), -1)
+    for ambient in (3.7, True):
+        with pytest.raises(ValueError, match="ambient must be an integer"):
+            RowSupport((0,), ambient)
+    assert RowSupport((0,), np.int64(3)) == RowSupport((0,), 3)
     # floats and bools are not row indices, even where they would cast to some
     with pytest.raises(ValueError, match="integers"):
         RowSupport([0.5, 1.7], 3)
