@@ -3,6 +3,7 @@ import pytest
 
 from mmvgreedy.linalg import RngStream
 from mmvgreedy.objective import MmvObjective
+from mmvgreedy.solvers import SolverConfig, mstoiht
 from mmvgreedy.sparsity import RowSupport, project_rows, row_support, top_k_rows
 
 
@@ -272,6 +273,56 @@ def test_restricted_value_matches_full_value():
         sup = top_k_rows(X, k)
         Xs = project_rows(X, sup)
         assert obj.restricted_value(Xs, sup) == pytest.approx(obj.value(Xs), rel=1e-12)
+
+
+def solve_loop_batches(M, b):
+    """The rows of each batch the solve loop draws, found by solving.
+
+    With A = I the gradient of a batch is nonzero on the batch's own rows
+    alone, so one IHT step (k = M, so nothing is cut) with all the
+    probability on batch i leaves exactly batch i's rows nonzero.
+    """
+    obj = MmvObjective(np.eye(M), np.ones((M, 1)))
+    d = -(-M // b)
+    batches = []
+    for i in range(d):
+        p = np.zeros(d)
+        p[i] = 1.0
+        cfg = SolverConfig(k=M, batch_size=b, probabilities=p, max_iter=1, tol=0.0)
+        X = mstoiht(obj, cfg).estimate
+        batches.append(tuple(np.flatnonzero(X.any(axis=1)).tolist()))
+    return tuple(batches)
+
+
+def test_batch_partition_examples():
+    assert solve_loop_batches(4, 1) == ((0,), (1,), (2,), (3,))
+    assert solve_loop_batches(4, 4) == ((0, 1, 2, 3),)
+    assert solve_loop_batches(5, 2) == ((0, 1), (2, 3), (4,))
+
+
+def test_batch_partition_range_errors():
+    obj = MmvObjective(np.eye(4), np.ones((4, 1)))
+    with pytest.raises(ValueError):
+        SolverConfig(k=1, batch_size=0)
+    with pytest.raises(ValueError):
+        mstoiht(obj, SolverConfig(k=1, batch_size=5))
+
+
+def test_batch_partition_covers_disjointly():
+    for M, b in [(10, 3), (12, 4), (7, 7), (9, 2)]:
+        batches = solve_loop_batches(M, b)
+        flat = [i for batch in batches for i in batch]
+        assert sorted(flat) == list(range(M))
+        assert len(flat) == len(set(flat))
+        assert all(len(batch) == b for batch in batches[:-1])
+        # the solve loop takes one probability per batch, no more and no fewer
+        d = -(-M // b)
+        obj = MmvObjective(np.eye(M), np.ones((M, 1)))
+        for wrong in (d - 1, d + 1):
+            p = np.full(wrong, 1 / max(wrong, 1))  # d - 1 is 0 when b = M
+            cfg = SolverConfig(k=1, batch_size=b, probabilities=p)
+            with pytest.raises(ValueError, match=f"length {d}"):
+                mstoiht(obj, cfg)
 
 
 def test_objective_shape_validation():
