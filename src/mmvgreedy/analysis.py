@@ -220,7 +220,7 @@ def tolerance_mstogradmp(
     Vanishes on noise-free consistent instances.
     """
     eta2 = _require_eta(eta2, "eta2")
-    p_min, p_max, M = _resolve_probability_range(p_min, p_max, obj.component_count)
+    p_min, p_max, M = _resolve_probability_range(p_min, p_max, obj.m)
     if k < 1:
         raise ValueError("k must be >= 1")
     R = obj.A @ obj._check_iterate(X_star) - obj.Y
@@ -342,7 +342,7 @@ def verify_rsc_rss(
     slack = 1e-9
     convexity_violations = smoothness_violations = 0
     rho_minus_observed, rho_plus_observed = math.inf, 0.0
-    sampler = IndexSampler(np.full(obj.component_count, 1.0 / obj.component_count))
+    sampler = IndexSampler(np.full(obj.m, 1.0 / obj.m))
 
     for _ in range(pairs):
         support = np.sort(rng.choice_without_replacement(obj.n, k))

@@ -232,9 +232,7 @@ class RngStream:
     seed material, so substreams can be derived without coordination.
     """
 
-    def __init__(self, master_seed: int, stream_id=()):
-        if isinstance(stream_id, (int, np.integer)):
-            stream_id = (int(stream_id),)
+    def __init__(self, master_seed: int, stream_id: tuple):
         self.master_seed = int(master_seed) & _U64
         self.stream_id = tuple(int(i) & _U64 for i in stream_id)
         seq = np.random.SeedSequence(self.master_seed, spawn_key=self.stream_id)

@@ -33,7 +33,7 @@ from .linalg import (
     _complement_solve, _row_space_projector, as_matrix, least_squares_solve,
     require_finite,
 )
-from .sparsity import RowSupport, _checked_rows
+from .sparsity import _checked_rows
 
 __all__ = ["MmvObjective"]
 
@@ -50,7 +50,6 @@ class MmvObjective:
         if not self.m * self.n * self.L:
             raise ValueError(f"A ({self.m}x{self.n}) and Y ({self.m}x{self.L}) "
                              "must be nonempty")
-        self.component_count = self.m  # one component per sensing row
 
     def _check_iterate(self, X) -> np.ndarray:
         X = as_matrix(X, "X")
@@ -60,14 +59,14 @@ class MmvObjective:
 
     def _rows(self, rows):
         if isinstance(rows, slice):  # checked in O(1); A[rows] is then a view
-            M = self.component_count
-            if rows.indices(M) != (rows.start, rows.stop, 1) or rows.start >= rows.stop:
-                raise ValueError(f"{rows} is not a nonempty step-1 range in [0, {M})")
+            m = self.m
+            if rows.indices(m) != (rows.start, rows.stop, 1) or rows.start >= rows.stop:
+                raise ValueError(f"{rows} is not a nonempty step-1 range in [0, {m})")
             return rows
         idx = np.atleast_1d(np.asarray(rows, dtype=np.intp))
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("component index set must be nonempty")
-        if (idx < 0).any() or (idx >= self.component_count).any():
+        if (idx < 0).any() or (idx >= self.m).any():
             raise ValueError("component index out of range")
         return idx
 
@@ -101,17 +100,6 @@ class MmvObjective:
             raise ValueError(f"x must have shape ({self.n},), got {x.shape}")
         return self._grad(rows, x[:, None], self.Y[:, j : j + 1]).ravel()
 
-    def _support_rows(self, support) -> np.ndarray:
-        # a RowSupport, or an index array that obeys its rule; the argmins'
-        # least_squares_solve rejects an empty one
-        if isinstance(support, RowSupport):
-            if support.ambient != self.n:
-                raise ValueError(
-                    f"support ambient {support.ambient} != signal length {self.n}"
-                )
-            return support.as_array()
-        return _checked_rows(support, self.n)
-
     @cached_property
     def _projector(self):
         # _row_space_projector's (Q, V, cond), built on the first wide solve
@@ -121,7 +109,7 @@ class MmvObjective:
     def _argmin(self, support, cols) -> np.ndarray:
         # zero off the support, the min-norm least-squares block on it for
         # the columns cols (a slice) of Y
-        idx = self._support_rows(support)
+        idx = _checked_rows(support, self.n)
         if len(idx) >= self.m > self.n - len(idx) and self._projector is not None:
             rest = np.ones(self.n, bool)
             rest[idx] = False
@@ -136,9 +124,10 @@ class MmvObjective:
     def restricted_argmin(self, support) -> np.ndarray:
         """Minimize F over matrices supported on the given rows.
 
-        Rows outside the support are zero; the supported block is the
-        minimum-norm least-squares solution against the selected columns
-        of A.
+        support is a nonempty, strictly increasing integer index array in
+        [0, n) (a RowSupport passes .as_array()).  Rows outside it are zero;
+        the supported block is the minimum-norm least-squares solution
+        against the selected columns of A.
         """
         return self._argmin(support, slice(None))
 
@@ -153,11 +142,8 @@ class MmvObjective:
         return self.batch_grad(np.arange(self.m), X)
 
     def restricted_value(self, X, support) -> float:
-        """F(X) for an X known to be supported on the given rows (cheaper).
-
-        support is a RowSupport or an index array that obeys its rule.
-        """
+        """F(X) for an X supported on the index array support (cheaper)."""
         X = self._check_iterate(X)
-        idx = self._support_rows(support)
+        idx = _checked_rows(support, self.n)
         R = self.Y - self.A[:, idx] @ X.take(idx, 0)
         return 0.5 / self.m * float(np.vdot(R, R))

@@ -325,11 +325,11 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
     record carries the step's support; a concatenated one the row support
     of the combined iterate, which may exceed k while the columns disagree.
     """
-    cfg.check_problem(algo, obj.n, obj.component_count, obj.L)
+    cfg.check_problem(algo, obj.n, obj.m, obj.L)
     step, columns, _ = _STEPS[algo]
     kept = np.zeros((obj.L, obj.n), bool) if columns else np.empty(0, np.intp)
-    M, b = obj.component_count, cfg.batch_size  # 1 <= b <= M, checked above
-    bounds = [slice(i, min(i + b, M)) for i in range(0, M, b)]  # the last may be short
+    m, b = obj.m, cfg.batch_size  # 1 <= b <= m, checked above
+    bounds = [slice(i, min(i + b, m)) for i in range(0, m, b)]  # the last may be short
     sampler = IndexSampler(cfg.batch_probabilities(len(bounds)))
     with np.errstate(divide="ignore"):  # a batch of probability 0 is never drawn
         scales = cfg.gamma / (len(bounds) * sampler.p)

@@ -13,8 +13,10 @@ slices), and the empty support is `RowSupport((), n)`, as the dropped
 engine's tie rule is checked against an independent one.  The kernels
 shared with the engine (`batch_grad`, `restricted_argmin`, `project_rows`,
 `support_union`, `row_support`, `draw_index`) come from the package, so a
-change to one of them shows in both.  Do not edit the loops: they define
-what "the same behaviour" means for the solvers.
+change to one of them shows in both; the objective's restricted kernels
+read index arrays, so the loops hand them a support's `.as_array()`.  Do
+not edit the loops otherwise: they define what "the same behaviour" means
+for the solvers.
 """
 
 from __future__ import annotations
@@ -173,7 +175,7 @@ class _TraceBuilder:
         self.elapsed = 0.0
 
     def add(self, t, X_new, support, prev_norm, diff_norm, candidate_size=None):
-        fval = self.obj.restricted_value(X_new, support)
+        fval = self.obj.restricted_value(X_new, support.as_array())
         _check_objective(fval, self.f0, self.records)
         change = _rel_change(prev_norm, diff_norm)
         rel = None
@@ -200,10 +202,9 @@ def _common_checks(obj: MmvObjective, cfg: SolverConfig, need_half_n: bool) -> N
         raise ValueError(
             f"matching pursuit needs 2k <= n, got k={cfg.k}, n={obj.n}"
         )
-    if cfg.batch_size > obj.component_count:
+    if cfg.batch_size > obj.m:
         raise ValueError(
-            f"batch_size={cfg.batch_size} exceeds component count "
-            f"{obj.component_count}"
+            f"batch_size={cfg.batch_size} exceeds component count {obj.m}"
         )
 
 
@@ -215,7 +216,7 @@ def mstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     of components this reduces to projected full-gradient descent.
     """
     _common_checks(obj, cfg, need_half_n=False)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
+    plan = batch_partition(obj.m, cfg.batch_size)
     p = _batch_probabilities(cfg, plan.count)
     rng = RngStream(cfg.seed, (0,))
     tracer = _TraceBuilder(obj, cfg)
@@ -255,7 +256,7 @@ def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     minimum-norm solution and are not an error.
     """
     _common_checks(obj, cfg, need_half_n=True)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
+    plan = batch_partition(obj.m, cfg.batch_size)
     p = _batch_probabilities(cfg, plan.count)
     rng = RngStream(cfg.seed, (0,))
     tracer = _TraceBuilder(obj, cfg)
@@ -270,7 +271,7 @@ def mstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
         R = obj.batch_grad(plan.batches[i], X)
         matched = top_k_rows(R, 2 * cfg.k)
         candidate = support_union(matched, kept)
-        B = obj.restricted_argmin(candidate)
+        B = obj.restricted_argmin(candidate.as_array())
         kept = top_k_rows(B, cfg.k)
         X_new = project_rows(B, kept)
         tracer.elapsed += time.perf_counter() - tic
@@ -299,7 +300,7 @@ def cstoiht(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     the tolerance stop early while the rest continue.
     """
     _common_checks(obj, cfg, need_half_n=False)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
+    plan = batch_partition(obj.m, cfg.batch_size)
     p = _batch_probabilities(cfg, plan.count)
     rngs = [RngStream(cfg.seed, (j,)) for j in range(obj.L)]
     tracer = _TraceBuilder(obj, cfg)
@@ -349,7 +350,7 @@ def cstogradmp(obj: MmvObjective, cfg: SolverConfig) -> SolveTrace:
     solves its own restricted least-squares problem every iteration.
     """
     _common_checks(obj, cfg, need_half_n=True)
-    plan = batch_partition(obj.component_count, cfg.batch_size)
+    plan = batch_partition(obj.m, cfg.batch_size)
     p = _batch_probabilities(cfg, plan.count)
     rngs = [RngStream(cfg.seed, (j,)) for j in range(obj.L)]
     tracer = _TraceBuilder(obj, cfg)

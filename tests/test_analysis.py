@@ -191,7 +191,7 @@ def test_constants_validation():
 
 def brute_force_tolerance_inner_max(obj, X_star, order):
     best = 0.0
-    for i in range(obj.component_count):
+    for i in range(obj.m):
         G = obj.batch_grad([i], X_star)
         norms_sq = row_norms(G) ** 2
         for combo in combinations(range(obj.n), min(order, obj.n)):

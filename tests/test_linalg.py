@@ -312,10 +312,9 @@ def test_rng_stream_identical_ids_identical_values():
     b = RngStream(1234, (7, 8))
     assert a.uniforms(20).tolist() == b.uniforms(20).tolist()
     np.testing.assert_array_equal(a.standard_normal(10), b.standard_normal(10))
-    # an int stream id is the one-element tuple
-    c, d = RngStream(1234, 5), RngStream(1234, (5,))
-    assert c.stream_id == (5,)
-    assert c.uniforms(5).tolist() == d.uniforms(5).tolist()
+    # a stream id is a tuple; an int is not one
+    with pytest.raises(TypeError):
+        RngStream(1234, 5)
 
 
 def test_rng_stream_distinct_ids_differ():

@@ -53,7 +53,7 @@ def test_value_is_mean_of_components():
     obj, rng = random_objective(2)
     X = rng.standard_normal((obj.n, obj.L))
     total = 0.0
-    for i in range(obj.component_count):
+    for i in range(obj.m):
         r = obj.A[i] @ X - obj.Y[i]
         total += 0.5 * float(r @ r)
     assert obj.value(X) == pytest.approx(total / obj.m, rel=1e-12)
@@ -112,14 +112,14 @@ def test_mean_of_component_grads_is_full_gradient():
 
 def test_uniform_weighting_is_unbiased():
     # exhaustive average of the solver-weighted proxy steps equals the
-    # full gradient: sum_i p_i * (1/(M p_i)) grad_i = grad F
+    # full gradient: sum_i p_i * (1/(m p_i)) grad_i = grad F
     obj, rng = random_objective(7)
     X = rng.standard_normal((obj.n, obj.L))
-    M = obj.component_count
-    p = np.full(M, 1.0 / M)
+    m = obj.m
+    p = np.full(m, 1.0 / m)
     acc = np.zeros_like(X)
-    for i in range(M):
-        acc += p[i] * (1.0 / (M * p[i])) * obj.batch_grad([i], X)
+    for i in range(m):
+        acc += p[i] * (1.0 / (m * p[i])) * obj.batch_grad([i], X)
     np.testing.assert_allclose(acc, obj.full_grad(X), atol=1e-12)
 
 
@@ -183,7 +183,7 @@ def test_column_grad_index_errors():
 def test_restricted_argmin_identity_full_support():
     Y = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
     obj = MmvObjective(np.eye(3), Y)
-    B = obj.restricted_argmin(RowSupport((0, 1, 2), 3))
+    B = obj.restricted_argmin(RowSupport((0, 1, 2), 3).as_array())
     np.testing.assert_allclose(B, Y, atol=1e-12)
 
 
@@ -195,14 +195,14 @@ def test_restricted_argmin_recovers_planted_signal():
     support = RowSupport((2, 7, 11), n)
     X_star[support.as_array()] = rng.standard_normal((k, L))
     obj = MmvObjective(A, A @ X_star)
-    B = obj.restricted_argmin(support)
+    B = obj.restricted_argmin(support.as_array())
     np.testing.assert_allclose(B, X_star, atol=1e-8)
 
 
 def test_restricted_argmin_beats_random_competitors():
     obj, rng = random_objective(13)
     support = top_k_rows(rng.standard_normal((obj.n, obj.L)), 4)
-    B = obj.restricted_argmin(support)
+    B = obj.restricted_argmin(support.as_array())
     fB = obj.value(B)
     for _ in range(100):
         Z = rng.standard_normal((obj.n, obj.L))
@@ -212,35 +212,38 @@ def test_restricted_argmin_beats_random_competitors():
 def test_restricted_argmin_support_containment():
     obj, rng = random_objective(14)
     support = RowSupport((1, 5, 9), obj.n)
-    B = obj.restricted_argmin(support)
+    B = obj.restricted_argmin(support.as_array())
     assert np.isin(row_support(B).as_array(), support.as_array()).all()
 
 
 def test_restricted_argmin_empty_support_rejected():
     obj, _ = random_objective(15)
-    for empty in (RowSupport((), obj.n), np.empty(0, dtype=np.intp)):
+    for empty in (RowSupport((), obj.n).as_array(), np.empty(0, dtype=np.intp)):
         with pytest.raises(ValueError):
             obj.restricted_argmin(empty)
         with pytest.raises(ValueError):
             obj.restricted_column_argmin(empty, 0)
-    with pytest.raises(ValueError, match="ambient"):
-        obj.restricted_argmin(RowSupport((0,), obj.n + 1))
+    # a support of a longer signal: its row n is out of range
+    with pytest.raises(ValueError, match="indices must"):
+        obj.restricted_argmin(RowSupport((obj.n,), obj.n + 1).as_array())
 
 
 def test_restricted_value_takes_the_same_support_rule():
     obj, rng = random_objective(17)
     X = np.zeros((obj.n, obj.L))
     # X supported on no rows is the zero matrix, whose value is F(0)
-    for empty in (RowSupport((), obj.n), np.empty(0, dtype=np.intp)):
+    for empty in (RowSupport((), obj.n).as_array(), np.empty(0, dtype=np.intp)):
         assert obj.restricted_value(X, empty) == obj.value(X)
     X[0] = rng.standard_normal(obj.L)
-    with pytest.raises(ValueError, match="ambient"):
-        obj.restricted_value(X, RowSupport((0,), obj.n + 1))
+    with pytest.raises(ValueError, match="indices must"):
+        obj.restricted_value(X, RowSupport((obj.n,), obj.n + 1).as_array())
 
 
 # each breaks RowSupport's rule on n = 12 rows: duplicate, unsorted,
-# negative (which would wrap to row n - 1), too large, float and bool
-_BAD_SUPPORTS = ([2, 2], [5, 3], [-1], [4, 12], [0.0, 2.0], [True, False])
+# negative (which would wrap to row n - 1), too large, float and bool; a
+# RowSupport itself is no index array (its .as_array() is)
+_BAD_SUPPORTS = ([2, 2], [5, 3], [-1], [4, 12], [0.0, 2.0], [True, False],
+                 RowSupport((0, 2), 12))
 
 
 @pytest.mark.parametrize("bad", _BAD_SUPPORTS)
@@ -272,7 +275,9 @@ def test_restricted_value_matches_full_value():
         X = rng.standard_normal((obj.n, obj.L))
         sup = top_k_rows(X, k)
         Xs = project_rows(X, sup)
-        assert obj.restricted_value(Xs, sup) == pytest.approx(obj.value(Xs), rel=1e-12)
+        assert obj.restricted_value(Xs, sup.as_array()) == pytest.approx(
+            obj.value(Xs), rel=1e-12
+        )
 
 
 def solve_loop_batches(M, b):
