@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import IndexSampler, RngStream, as_matrix
+from .linalg import IndexSampler, RngStream, as_matrix, require_int
 from .objective import MmvObjective
 
 __all__ = [
@@ -132,8 +132,7 @@ def contraction_cstoiht(per_column, gamma: float = 1.0, eta: float = 1.0):
 
 
 def _resolve_probability_range(p_min, p_max, M):
-    M = int(M)
-    if M < 1:
+    if require_int(M, "M") < 1:
         raise ValueError("M must be a positive count")
     if p_min is None:
         p_min = 1.0 / M
@@ -221,7 +220,7 @@ def tolerance_mstogradmp(
     """
     eta2 = _require_eta(eta2, "eta2")
     p_min, p_max, M = _resolve_probability_range(p_min, p_max, obj.m)
-    if k < 1:
+    if require_int(k, "k") < 1:
         raise ValueError("k must be >= 1")
     R = obj.A @ obj._check_iterate(X_star) - obj.Y
     top = np.sort(obj.A**2, axis=1)[:, -min(4 * k, obj.n):].sum(axis=1)
@@ -262,7 +261,7 @@ def rip_constant(
     """
     A = as_matrix(A, "A")
     n = A.shape[1]
-    if not 1 <= k <= n:
+    if not 1 <= require_int(k, "k") <= n:
         raise ValueError(f"k={k} out of range [1, {n}]")
     if mode == "exhaustive":
         total = math.comb(n, k)
@@ -274,7 +273,7 @@ def rip_constant(
             )
         supports = map(list, combinations(range(n), k))
     elif mode == "sampled":
-        if samples < 1:
+        if require_int(samples, "samples") < 1:
             raise ValueError("samples must be >= 1")
         if rng is None:
             rng = RngStream(0, (0,))
@@ -330,7 +329,7 @@ def verify_rsc_rss(
     every m >= 3, and with the value certified here it exceeds sqrt(2): the
     thresholding bound is vacuous at this objective scale.
     """
-    if pairs < 1:
+    if require_int(pairs, "pairs") < 1:
         raise ValueError("pairs must be >= 1")
     if rng is None:
         rng = RngStream(0, (0,))

@@ -263,6 +263,17 @@ def _sweep_csv_name(param: str, spec: ExperimentSpec) -> str:
     return f"{param}_{getattr(spec, SWEEP_FIELDS[param]):g}.csv"
 
 
+def _sweep_value(field_name: str, value):
+    # a string (from the CLI) parses as the field's type; a number must be
+    # one already, and a bool is not a value of any swept field
+    noise = field_name == "noise_sigma"
+    if isinstance(value, str):
+        return float(value) if noise else int(value)
+    if isinstance(value, bool):
+        raise ValueError(f"{field_name} must be a number, got {value!r}")
+    return float(value) if noise else int(require_int(value, field_name))
+
+
 def sweep_specs(base: ExperimentSpec, param: str, values) -> list:
     """One validated spec per swept value, in order; raises ValueError early.
 
@@ -274,8 +285,8 @@ def sweep_specs(base: ExperimentSpec, param: str, values) -> list:
             f"unknown sweep parameter {param!r}, expected one of {sorted(SWEEP_FIELDS)}"
         )
     field_name = SWEEP_FIELDS[param]
-    cast = float if field_name == "noise_sigma" else int
-    specs = [dataclasses.replace(base, **{field_name: cast(v)}) for v in values]
+    specs = [dataclasses.replace(base, **{field_name: _sweep_value(field_name, v)})
+             for v in values]
     names = [_sweep_csv_name(param, spec) for spec in specs]
     if len(set(names)) < len(names):
         raise ValueError(f"two values would write the same file: {names}")

@@ -292,6 +292,40 @@ def test_rip_k_range():
         rip_constant(np.eye(3), 1, mode="greedy")
 
 
+def _count_calls(value):
+    # every count the analysis functions take, each set to value
+    c = consts(0.3, 0.5, rho_plus=0.8)
+    rng = RngStream(51, (0,))
+    A = gaussian_sensing_matrix(6, 5, rng)
+    obj = MmvObjective(A, rng.standard_normal((6, 2)))
+    X = np.zeros((5, 2))
+    return {
+        "M": [lambda: contraction_mstogradmp(c, p_max=0.5, M=value),
+              lambda: contraction_cstogradmp(c, p_max=0.5, M=value)],
+        "k": [lambda: rip_constant(A, value),
+              lambda: verify_rsc_rss(obj, k=value, pairs=3),
+              lambda: tolerance_mstogradmp(obj, X, k=value, c=c)],
+        "samples": [lambda: rip_constant(A, 2, mode="sampled", samples=value)],
+        "pairs": [lambda: verify_rsc_rss(obj, k=2, pairs=value)],
+    }
+
+
+@pytest.mark.parametrize("value", [11.9, 2.0, True, False])
+def test_counts_must_be_integers(value):
+    # a float is not truncated, nor a bool taken as 0 or 1
+    for name, calls in _count_calls(value).items():
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+                call()
+
+
+def test_counts_take_numpy_integers():
+    plain, numpy_ = _count_calls(2), _count_calls(np.int64(2))
+    for name in plain:
+        for call, same in zip(plain[name], numpy_[name]):
+            assert same() == call()
+
+
 def test_quadratic_convexity_gap_identity():
     # for the least-squares objective the convexity gap equals
     # (1/2m) ||A (X' - X)||_F^2 exactly

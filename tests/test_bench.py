@@ -15,6 +15,7 @@ from mmvgreedy.bench import (
     row_sparse_signal,
     run_experiment,
     run_sweep,
+    sweep_specs,
 )
 from mmvgreedy.linalg import RngStream, derive_seed
 from mmvgreedy.solvers import SolverConfig
@@ -273,6 +274,27 @@ def test_sweep_noise_values_are_floats(tmp_path):
     base = small_spec(trials=1, max_iter=3)
     written = run_sweep(base, "noise", [0.02, 0.08], tmp_path)
     assert [p.name for p in written] == ["noise_0.02.csv", "noise_0.08.csv"]
+
+
+@pytest.mark.parametrize("param, value, name", [
+    ("sparsity", 5.7, "k"), ("sparsity", True, "k"), ("sparsity", 4.0, "k"),
+    ("signals", 2.5, "L"), ("signals", False, "L"), ("batch", 2.5, "batch_size"),
+    ("batch", True, "batch_size"), ("noise", True, "noise_sigma"),
+    ("noise", False, "noise_sigma"),
+])
+def test_sweep_values_are_not_truncated(param, value, name):
+    # before, 5.7 built k = 5 (file sparsity_5.csv) and True built k = 1
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        sweep_specs(small_spec(), param, [value])
+
+
+def test_sweep_values_parse_strings_and_take_numpy_numbers():
+    specs = sweep_specs(small_spec(), "sparsity", ["4", np.int64(5), 2])
+    assert [(s.k, type(s.k)) for s in specs] == [(4, int), (5, int), (2, int)]
+    specs = sweep_specs(small_spec(), "noise", ["0.02", 0, np.float64(0.5)])
+    assert [s.noise_sigma for s in specs] == [0.02, 0.0, 0.5]
+    with pytest.raises(ValueError, match="invalid literal"):
+        sweep_specs(small_spec(), "sparsity", ["5.7"])
 
 
 def test_sweep_unknown_param(tmp_path):

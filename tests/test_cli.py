@@ -153,7 +153,7 @@ def test_run_rejects_bad_config_before_any_work(tmp_path, capsys, no_work, bad):
     "algo, param, values",
     [("mstoiht", "batch", "1,21"), ("mstogradmp", "sparsity", "3,16"),
      ("cstogradmp", "sparsity", "3,16"), ("mstoiht", "noise", "0.02,nan"),
-     ("mstoiht", "noise", "0.1234567,0.1234568")],
+     ("mstoiht", "noise", "0.1234567,0.1234568"), ("mstoiht", "sparsity", "4,5.7")],
 )
 def test_sweep_rejects_bad_value_before_any_work(
     tmp_path, capsys, no_work, algo, param, values
