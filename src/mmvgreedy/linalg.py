@@ -80,7 +80,12 @@ def require_int(value, name: str):
 
 def frobenius_norm(X) -> float:
     """Square root of the sum of squared entries, as np.linalg.norm(X) sums them."""
-    x = as_matrix(X).ravel()
+    return _frobenius_norm(as_matrix(X))
+
+
+def _frobenius_norm(X) -> float:
+    # frobenius_norm of a float64 array, unchecked
+    x = X.ravel()
     return math.sqrt(x.dot(x))  # IEEE sqrt, correctly rounded as np.sqrt is
 
 
@@ -94,8 +99,11 @@ def row_norms(X) -> np.ndarray:
     row below about 1.5e-162).  top_k_rows and the solvers rank by these
     norms, so they misorder such rows.
     """
-    X = as_matrix(X)
-    # the operations np.linalg.norm(X, axis=1) runs, without its overhead
+    return _row_norms(as_matrix(X))
+
+
+def _row_norms(X) -> np.ndarray:
+    # row_norms of a C-order float64 matrix, unchecked: np.linalg.norm's sums
     return np.sqrt(np.add.reduce(X * X, axis=1))
 
 
@@ -120,7 +128,7 @@ def _gram_cholesky(G, anorm=None):
     of every normal-equation solve.
     """
     if anorm is None:
-        anorm = np.linalg.norm(G, 1)
+        anorm = lapack.dlange("1", G)
     C, info = lapack.dpotrf(G, overwrite_a=True, clean=False)
     if info == 0:
         rcond, info = lapack.dpocon(C, anorm)

@@ -55,8 +55,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    IndexSampler, RngStream, as_matrix, frobenius_norm, require_finite, require_int,
-    row_norms,
+    IndexSampler, RngStream, _frobenius_norm, _row_norms, as_matrix, frobenius_norm,
+    require_finite, require_int,
 )
 from .objective import MmvObjective
 # the benchmark's layer spans look these names up here
@@ -207,7 +207,8 @@ def _one_row(obj, X, batch, count, skip=None):
 def _strictly_lowest(norms):
     # a block of the rows of largest |a_j| ranks as all n rows do when its
     # lowest norm is below all its others: no row off it can outrank those
-    lowest = np.partition(norms, 1)
+    lowest = norms.copy()
+    lowest.partition(1)
     return lowest[0] < lowest[1]
 
 
@@ -226,7 +227,7 @@ def _iht_step(obj, X, kept, cols, batch, scale, k):
         rows = np.concatenate((kept, top))
         old = X.take(rows, 0)
         B = old - scale * (a.take(rows)[:, None] * r)
-        norms = row_norms(B)
+        norms = _row_norms(B)
         if _strictly_lowest(norms[len(kept) :]):
             # rank by norm, then by index, as top_k_rows does
             order = np.lexsort((rows, -norms))
@@ -235,7 +236,7 @@ def _iht_step(obj, X, kept, cols, batch, scale, k):
             support.sort()
             return rows, old, B, support, None
     B = X - scale * obj.batch_grad(batch, X)
-    keep = _top_k_mask(row_norms(B)[None], k)[0]  # top_k_rows(B, k) as a mask
+    keep = _top_k_mask(_row_norms(B)[None], k)[0]  # top_k_rows(B, k) as a mask
     B[~keep] = 0.0
     return None, None, B, np.flatnonzero(keep), None
 
@@ -251,18 +252,18 @@ def _gradmp_step(obj, X, kept, cols, batch, scale, k):
         # the gradient's rows are a_j r: all but the lowest of the count + 1
         # rows of largest |a_j|, unless its norm ties
         a, r, top = _one_row(obj, X, batch, count + 1)
-        norms = row_norms(a.take(top)[:, None] * r)
+        norms = _row_norms(a.take(top)[:, None] * r)
         if _strictly_lowest(norms):
             cand = np.zeros(obj.n, bool)
             cand[top] = True
             cand[top[norms.argmin()]] = False
     if cand is None:
         # the rows top_k_rows ranks first, as masks: its _top_k_mask rule on norms
-        cand = _top_k_mask(row_norms(obj.batch_grad(batch, X))[None], count)[0]
+        cand = _top_k_mask(_row_norms(obj.batch_grad(batch, X))[None], count)[0]
     cand[kept] = True
     candidate = np.flatnonzero(cand)
     B = obj.restricted_argmin(candidate)
-    keep = _top_k_mask(row_norms(B)[None], k)[0]
+    keep = _top_k_mask(_row_norms(B)[None], k)[0]
     B[~keep] = 0.0
     return None, None, B, np.flatnonzero(keep), len(candidate)
 
@@ -360,8 +361,8 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
             if gt is not None:  # take gathers faster, but not by a column tuple
                 err[rows] = new - (gt[rows] if columns else gt.take(rows, 0))
         support = np.flatnonzero(X.any(axis=1)) if columns else kept
-        prev_norm, norm = norm, frobenius_norm(X)
-        change = _rel_change(prev_norm, frobenius_norm(diff))
+        prev_norm, norm = norm, _frobenius_norm(X)
+        change = _rel_change(prev_norm, _frobenius_norm(diff))
         if columns:  # row r of old.T and step_diff.T is column active[r]
             old_norm, diff_norm = _stacked_norms(old.T), _stacked_norms(step_diff.T)
             with np.errstate(divide="ignore", invalid="ignore"):  # as _rel_change
@@ -369,7 +370,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
             active = active[~stopped]
         done = not active.size if columns else change < cfg.tol
 
-        fval = obj.restricted_value(X, support)
+        fval = obj._value(X, support)
         if not math.isfinite(fval):
             raise DivergenceError(
                 f"objective became non-finite ({fval}); the step size is likely "
@@ -382,7 +383,7 @@ def _solve(obj: MmvObjective, cfg: SolverConfig, algo: str):
                 f"times its initial value {f0:.3e}; aborting as divergent",
                 trace.records,
             )
-        rel = None if gt is None else frobenius_norm(err) / gt_norm
+        rel = None if gt is None else _frobenius_norm(err) / gt_norm
         trace.records.append(IterationRecord(
             iteration=t, elapsed_s=elapsed, objective=fval, step_rel_change=change,
             rel_err=rel, support_size=len(support), candidate_size=size,

@@ -124,12 +124,12 @@ def test_single_row_step_forms_no_dense_gradient(monkeypatch):
 
 def test_joint_single_row_solve_builds_no_row_support(monkeypatch):
     # the engine keeps supports as index arrays, and still evaluates the
-    # objective through restricted_value once per iteration
+    # objective through restricted_value's body once per iteration
     rng = RngStream(5, (0,))
     A = gaussian_sensing_matrix(100, 200, rng)
     obj = MmvObjective(A, rng.standard_normal((100, 40)))
     calls = {"support": 0, "value": 0}
-    real_init, real_value = RowSupport.__init__, MmvObjective.restricted_value
+    real_init, real_value = RowSupport.__init__, MmvObjective._value
 
     def init(self, *args):
         calls["support"] += 1
@@ -141,7 +141,7 @@ def test_joint_single_row_solve_builds_no_row_support(monkeypatch):
         return real_value(self, X, support)
 
     monkeypatch.setattr(RowSupport, "__init__", init)
-    monkeypatch.setattr(MmvObjective, "restricted_value", value)
+    monkeypatch.setattr(MmvObjective, "_value", value)
     trace = mstoiht(obj, SolverConfig(k=5, max_iter=100, tol=0.0, seed=5))
     assert trace.iterations == 100
     assert calls == {"support": 0, "value": 100}

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmvgreedy.linalg import RngStream
 from mmvgreedy.objective import MmvObjective
@@ -278,6 +280,49 @@ def test_restricted_value_matches_full_value():
         assert obj.restricted_value(Xs, sup.as_array()) == pytest.approx(
             obj.value(Xs), rel=1e-12
         )
+
+
+def _value_by_gather(obj, X, idx):
+    # restricted_value as it was formed from the column gather A[:, idx]
+    R = obj.Y - obj.A[:, idx] @ X.take(idx, 0)
+    return 0.5 / obj.m * float(np.vdot(R, R))
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_value_body_equals_the_column_gather(data):
+    # the solve loop reads the objective through _value, which takes the
+    # support's rows of a cached C-order A^T: the same bits as the gather
+    m = data.draw(st.integers(1, 30), "m")
+    n = data.draw(st.integers(1, 40), "n")
+    L = data.draw(st.sampled_from([1, 2, 3, 7]), "L")
+    rng = RngStream(data.draw(st.integers(0, 2**32 - 1), "seed"), (0,))
+    obj = MmvObjective(rng.standard_normal((m, n)), rng.standard_normal((m, L)))
+    size = data.draw(st.integers(0, n), "support size")
+    idx = np.sort(rng.choice_without_replacement(n, size)).astype(np.intp)
+    X = rng.standard_normal((n, L))
+    assert obj._value(X, idx) == _value_by_gather(obj, X, idx)
+
+
+@pytest.mark.parametrize("s", [5, 20, 60, 200])
+def test_value_body_equals_the_column_gather_at_the_acceptance_shape(s):
+    rng = RngStream(20260810, (s,))
+    obj = MmvObjective(rng.standard_normal((100, 200)), rng.standard_normal((100, 40)))
+    for _ in range(5):
+        idx = np.sort(rng.choice_without_replacement(200, s)).astype(np.intp)
+        X = rng.standard_normal((200, 40))
+        assert obj._value(X, idx) == _value_by_gather(obj, X, idx)
+
+
+@pytest.mark.parametrize("shape", [(12,), (13, 3), (12, 4)])
+def test_values_check_the_iterate_shape(shape):
+    # the public values are the only check of an iterate from outside
+    obj, _ = random_objective(20)
+    X = np.zeros(shape)
+    with pytest.raises(ValueError, match="^X must be"):
+        obj.value(X)
+    with pytest.raises(ValueError, match="^X must be"):
+        obj.restricted_value(X, np.array([0, 2]))
 
 
 def solve_loop_batches(M, b):

@@ -210,13 +210,13 @@ def test_trace_norms_equal_the_dense_recomputation(algo, data):
         tol=data.draw(st.sampled_from([0.0, 1e-2, 1e-1]), "tol"),
         seed=data.draw(st.integers(0, 1000), "solver seed"), ground_truth=X_star,
     )
-    iterates, real_value = [], MmvObjective.restricted_value
+    iterates, real_value = [], MmvObjective._value
 
     def value(self, X, support):
         iterates.append(X.copy())
         return real_value(self, X, support)
 
-    with mock.patch.object(MmvObjective, "restricted_value", value):
+    with mock.patch.object(MmvObjective, "_value", value):
         try:
             trace = SOLVERS[algo](obj, cfg)
             records = trace.records
